@@ -2,45 +2,26 @@
 //! baseline clock, normalized to the baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flywheel_bench::{bench_budget, run_baseline, run_flywheel};
-use flywheel_core::FlywheelConfig;
-use flywheel_timing::TechNode;
+use flywheel_bench::bench_budget;
+use flywheel_bench::scenario::{Machine, Scenario, ScenarioCell};
 use flywheel_uarch::SimBudget;
 use flywheel_workloads::Benchmark;
 
 fn fig11(c: &mut Criterion) {
-    let budget = bench_budget();
-    let node = TechNode::N130;
-    for bench in [
+    let mut preset = Scenario::fig11(bench_budget());
+    preset.benchmarks = vec![
         Benchmark::Ijpeg,
         Benchmark::Gzip,
         Benchmark::Vpr,
         Benchmark::Vortex,
-    ] {
-        let base = run_baseline(bench, node, budget);
-        let regalloc = run_flywheel(
-            bench,
-            FlywheelConfig::register_allocation_only(node),
-            budget,
-        );
-        let flywheel = run_flywheel(bench, FlywheelConfig::paper_iso_clock(node), budget);
-        println!(
-            "fig11 {bench}: reg-alloc {:.3}, flywheel {:.3} (normalized performance)",
-            regalloc.speedup_over(&base),
-            flywheel.speedup_over(&base)
-        );
-    }
+    ];
+    print!("{}", preset.run().fig11_table().expect("fig11 grid"));
 
     let mut group = c.benchmark_group("fig11_iso_clock");
     group.sample_size(10);
+    let cell = ScenarioCell::paper(Machine::Flywheel, Benchmark::Micro);
     group.bench_function("flywheel_iso_micro", |b| {
-        b.iter(|| {
-            criterion::black_box(run_flywheel(
-                Benchmark::Micro,
-                FlywheelConfig::paper_iso_clock(node),
-                SimBudget::new(1_000, 5_000),
-            ))
-        })
+        b.iter(|| criterion::black_box(cell.run(SimBudget::new(1_000, 5_000))))
     });
     group.finish();
 }

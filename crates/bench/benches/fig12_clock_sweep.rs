@@ -2,35 +2,28 @@
 //! front-end clock (back-end fixed at +50%).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flywheel_bench::{bench_budget, run_baseline, run_flywheel, CLOCK_SWEEP};
-use flywheel_core::FlywheelConfig;
-use flywheel_timing::TechNode;
+use flywheel_bench::bench_budget;
+use flywheel_bench::scenario::{ClockSweepMetric, Machine, Scenario, ScenarioCell};
 use flywheel_uarch::SimBudget;
 use flywheel_workloads::Benchmark;
 
 fn fig12(c: &mut Criterion) {
-    let budget = bench_budget();
-    let node = TechNode::N130;
-    for bench in [Benchmark::Ijpeg, Benchmark::Mesa, Benchmark::Vortex] {
-        let base = run_baseline(bench, node, budget);
-        print!("fig12 {bench}:");
-        for (fe, be) in CLOCK_SWEEP {
-            let fly = run_flywheel(bench, FlywheelConfig::paper(node, fe, be), budget);
-            print!(" FE{fe}/BE{be}={:.3}", fly.speedup_over(&base));
-        }
-        println!();
-    }
+    let mut preset = Scenario::fig12(bench_budget());
+    preset.benchmarks = vec![Benchmark::Ijpeg, Benchmark::Mesa, Benchmark::Vortex];
+    let table = preset
+        .run()
+        .clock_sweep_table(ClockSweepMetric::Performance);
+    print!("{}", table.expect("clock-sweep grid"));
 
     let mut group = c.benchmark_group("fig12_clock_sweep");
     group.sample_size(10);
+    let cell = ScenarioCell {
+        fe_pct: 50,
+        be_pct: 50,
+        ..ScenarioCell::paper(Machine::Flywheel, Benchmark::Micro)
+    };
     group.bench_function("flywheel_fe50_be50_micro", |b| {
-        b.iter(|| {
-            criterion::black_box(run_flywheel(
-                Benchmark::Micro,
-                FlywheelConfig::paper(node, 50, 50),
-                SimBudget::new(1_000, 5_000),
-            ))
-        })
+        b.iter(|| criterion::black_box(cell.run(SimBudget::new(1_000, 5_000))))
     });
     group.finish();
 }

@@ -1,39 +1,27 @@
 //! Figure 13: relative energy of the Flywheel machine over the clock sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flywheel_bench::{bench_budget, run_baseline, run_flywheel, CLOCK_SWEEP};
-use flywheel_core::FlywheelConfig;
-use flywheel_timing::TechNode;
+use flywheel_bench::bench_budget;
+use flywheel_bench::scenario::{ClockSweepMetric, Machine, Scenario, ScenarioCell};
 use flywheel_uarch::SimBudget;
 use flywheel_workloads::Benchmark;
 
 fn fig13(c: &mut Criterion) {
-    let budget = bench_budget();
-    let node = TechNode::N130;
-    for bench in [Benchmark::Gcc, Benchmark::Equake, Benchmark::Vortex] {
-        let base = run_baseline(bench, node, budget);
-        print!("fig13 {bench}:");
-        for (fe, be) in CLOCK_SWEEP {
-            let fly = run_flywheel(bench, FlywheelConfig::paper(node, fe, be), budget);
-            print!(" FE{fe}={:.3}", fly.energy_ratio_over(&base));
-        }
-        println!(" (relative energy)");
-    }
+    let mut preset = Scenario::fig12(bench_budget());
+    preset.benchmarks = vec![Benchmark::Gcc, Benchmark::Equake, Benchmark::Vortex];
+    let table = preset.run().clock_sweep_table(ClockSweepMetric::Energy);
+    print!("{}", table.expect("clock-sweep grid"));
 
     let mut group = c.benchmark_group("fig13_energy");
     group.sample_size(10);
+    let cell = ScenarioCell {
+        fe_pct: 0,
+        be_pct: 50,
+        ..ScenarioCell::paper(Machine::Flywheel, Benchmark::Micro)
+    };
     group.bench_function("energy_accounting_micro", |b| {
         b.iter(|| {
-            criterion::black_box(
-                run_flywheel(
-                    Benchmark::Micro,
-                    FlywheelConfig::paper(node, 0, 50),
-                    SimBudget::new(1_000, 5_000),
-                )
-                .sim
-                .energy
-                .total_pj(),
-            )
+            criterion::black_box(cell.run(SimBudget::new(1_000, 5_000)).sim.energy.total_pj())
         })
     });
     group.finish();

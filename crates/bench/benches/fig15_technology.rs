@@ -1,34 +1,27 @@
 //! Figure 15: relative energy of the Flywheel machine at 130, 90 and 60 nm.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flywheel_bench::{bench_budget, run_baseline, run_flywheel};
-use flywheel_core::FlywheelConfig;
+use flywheel_bench::bench_budget;
+use flywheel_bench::scenario::{Machine, Scenario, ScenarioCell};
 use flywheel_timing::TechNode;
 use flywheel_uarch::SimBudget;
 use flywheel_workloads::Benchmark;
 
 fn fig15(c: &mut Criterion) {
-    let budget = bench_budget();
-    for bench in [Benchmark::Gcc, Benchmark::Bzip2, Benchmark::Equake] {
-        print!("fig15 {bench}:");
-        for node in TechNode::power_study_nodes() {
-            let base = run_baseline(bench, *node, budget);
-            let fly = run_flywheel(bench, FlywheelConfig::paper(*node, 100, 50), budget);
-            print!(" {}={:.3}", node, fly.energy_ratio_over(&base));
-        }
-        println!(" (relative energy)");
-    }
+    let mut preset = Scenario::fig15(bench_budget());
+    preset.benchmarks = vec![Benchmark::Gcc, Benchmark::Bzip2, Benchmark::Equake];
+    print!("{}", preset.run().fig15_table().expect("fig15 grid"));
 
     let mut group = c.benchmark_group("fig15_technology");
     group.sample_size(10);
+    let cell = ScenarioCell {
+        node: TechNode::N60,
+        fe_pct: 100,
+        be_pct: 50,
+        ..ScenarioCell::paper(Machine::Flywheel, Benchmark::Micro)
+    };
     group.bench_function("flywheel_60nm_micro", |b| {
-        b.iter(|| {
-            criterion::black_box(run_flywheel(
-                Benchmark::Micro,
-                FlywheelConfig::paper(TechNode::N60, 100, 50),
-                SimBudget::new(1_000, 5_000),
-            ))
-        })
+        b.iter(|| criterion::black_box(cell.run(SimBudget::new(1_000, 5_000))))
     });
     group.finish();
 }

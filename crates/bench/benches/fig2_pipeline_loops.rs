@@ -1,48 +1,26 @@
 //! Figure 2: cost of stretching the Fetch/Mispredict loop vs the Wake-up/Select loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flywheel_bench::{bench_budget, run_baseline, run_baseline_with};
-use flywheel_timing::TechNode;
-use flywheel_uarch::BaselineConfig;
+use flywheel_bench::bench_budget;
+use flywheel_bench::scenario::{Machine, Scenario, ScenarioCell};
+use flywheel_uarch::SimBudget;
 use flywheel_workloads::Benchmark;
 
 fn fig2(c: &mut Criterion) {
-    let budget = bench_budget();
-    let node = TechNode::N130;
-    for bench in [
+    let mut preset = Scenario::fig2(bench_budget());
+    preset.benchmarks = vec![
         Benchmark::Gzip,
         Benchmark::Gcc,
         Benchmark::Mesa,
         Benchmark::Vortex,
-    ] {
-        let base = run_baseline(bench, node, budget);
-        let deeper = run_baseline_with(
-            bench,
-            BaselineConfig::paper(node).with_extra_frontend_stage(),
-            budget,
-        );
-        let piped = run_baseline_with(
-            bench,
-            BaselineConfig::paper(node).with_pipelined_wakeup(),
-            budget,
-        );
-        println!(
-            "fig2 {bench}: fetch+1 {:+.1}%, wakeup/select {:+.1}%",
-            (deeper.elapsed_ps as f64 / base.elapsed_ps as f64 - 1.0) * 100.0,
-            (piped.elapsed_ps as f64 / base.elapsed_ps as f64 - 1.0) * 100.0
-        );
-    }
+    ];
+    print!("{}", preset.run().fig2_table().expect("fig2 grid"));
 
     let mut group = c.benchmark_group("fig2_pipeline_loops");
     group.sample_size(10);
+    let cell = ScenarioCell::paper(Machine::Baseline, Benchmark::Gzip);
     group.bench_function("baseline_gzip", |b| {
-        b.iter(|| {
-            criterion::black_box(run_baseline(
-                Benchmark::Gzip,
-                node,
-                flywheel_uarch::SimBudget::new(1_000, 5_000),
-            ))
-        })
+        b.iter(|| criterion::black_box(cell.run(SimBudget::new(1_000, 5_000))))
     });
     group.finish();
 }

@@ -6,40 +6,24 @@
 //! per-cycle bookkeeping shows up directly as lower simulated-MIPS here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flywheel_bench::{run_baseline, run_flywheel, simulated_mips};
-use flywheel_core::FlywheelConfig;
-use flywheel_timing::TechNode;
+use flywheel_bench::scenario::{Machine, ScenarioCell};
+use flywheel_bench::simulated_mips;
 use flywheel_uarch::SimBudget;
 use flywheel_workloads::Benchmark;
 use std::time::Instant;
 
 fn sim_throughput(c: &mut Criterion) {
-    let node = TechNode::N130;
     let budget = SimBudget::new(10_000, 200_000);
+    let base = |bench| ScenarioCell::paper(Machine::Baseline, bench);
+    let fly = |bench| ScenarioCell::paper(Machine::Flywheel, bench);
 
     // Headline numbers: simulated MIPS for one representative run of each kernel.
-    type Runner = Box<dyn Fn() -> u64>;
-    let headline: Vec<(&str, Runner)> = vec![
-        (
-            "baseline/gzip",
-            Box::new(move || run_baseline(Benchmark::Gzip, node, budget).instructions),
-        ),
-        (
-            "flywheel/gzip",
-            Box::new(move || {
-                run_flywheel(
-                    Benchmark::Gzip,
-                    FlywheelConfig::paper_iso_clock(node),
-                    budget,
-                )
-                .sim
-                .instructions
-            }),
-        ),
-    ];
-    for (name, run) in headline {
+    for (name, cell) in [
+        ("baseline/gzip", base(Benchmark::Gzip)),
+        ("flywheel/gzip", fly(Benchmark::Gzip)),
+    ] {
         let start = Instant::now();
-        let measured = run();
+        let measured = cell.run(budget).sim.instructions;
         let wall = start.elapsed();
         println!(
             "sim_throughput {name}: {:.2} simulated MIPS ({} simulated instructions, {measured} \
@@ -52,30 +36,21 @@ fn sim_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("sim_throughput");
     group.sample_size(10);
-    group.bench_function("baseline_gzip_210k", |b| {
-        b.iter(|| criterion::black_box(run_baseline(Benchmark::Gzip, node, budget)))
-    });
-    group.bench_function("baseline_equake_210k", |b| {
-        b.iter(|| criterion::black_box(run_baseline(Benchmark::Equake, node, budget)))
-    });
-    group.bench_function("flywheel_iso_gzip_210k", |b| {
-        b.iter(|| {
-            criterion::black_box(run_flywheel(
-                Benchmark::Gzip,
-                FlywheelConfig::paper_iso_clock(node),
-                budget,
-            ))
-        })
-    });
-    group.bench_function("flywheel_fe50_be50_ijpeg_210k", |b| {
-        b.iter(|| {
-            criterion::black_box(run_flywheel(
-                Benchmark::Ijpeg,
-                FlywheelConfig::paper(node, 50, 50),
-                budget,
-            ))
-        })
-    });
+    for (name, cell) in [
+        ("baseline_gzip_210k", base(Benchmark::Gzip)),
+        ("baseline_equake_210k", base(Benchmark::Equake)),
+        ("flywheel_iso_gzip_210k", fly(Benchmark::Gzip)),
+        (
+            "flywheel_fe50_be50_ijpeg_210k",
+            ScenarioCell {
+                fe_pct: 50,
+                be_pct: 50,
+                ..fly(Benchmark::Ijpeg)
+            },
+        ),
+    ] {
+        group.bench_function(name, |b| b.iter(|| criterion::black_box(cell.run(budget))));
+    }
     group.finish();
 }
 

@@ -8,8 +8,9 @@
 //! cargo run --release -p flywheel-bench --bin scenarios -- custom [axes] [options]
 //! ```
 //!
-//! Presets: `fig2`, `fig11`, `fig12` (tables byte-identical to the
-//! `experiments` binary at the same budget), `smoke` (the CI grid), `stress`
+//! Presets: `fig2`, `fig11`, `fig12`, `fig15`, `ec_residency` (the figure
+//! presets; each prints its figure table through the same renderer the
+//! `experiments` and `report` binaries use), `smoke` (the CI grid), `stress`
 //! (the stress-workload family over three config axes), `leakage` (technology
 //! node x machine x Execution Cache capacity, the attributed-leakage sweep),
 //! `multidomain` (the baseline against the LSQ-in-its-own-clock-domain
@@ -89,7 +90,7 @@
 //! Single-process sweeps fan out across all cores (`FLYWHEEL_JOBS` caps the
 //! workers); results are byte-identical for any worker count.
 
-use flywheel_bench::scenario::{Machine, Scenario};
+use flywheel_bench::scenario::{ClockSweepMetric, Machine, Scenario};
 use flywheel_bench::store::{MergeError, ResultStore};
 use flywheel_bench::supervisor::{self, SupervisorConfig};
 use flywheel_bench::{experiment_budget, fault, search, simulated_mips, spec, worker_count};
@@ -100,7 +101,7 @@ use std::time::{Duration, Instant};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenarios <fig2|fig11|fig12|smoke|stress|leakage|multidomain|dvfs|custom> \
+        "usage: scenarios <fig2|fig11|fig12|fig15|ec_residency|smoke|stress|leakage|multidomain|dvfs|custom> \
          [--benches a,b] [--machines m,..] [--nodes 130,..] [--clocks FE:BE,..] \
          [--windows IW:ROB,..] [--ec KB,..] [--mem CYC,..] [--seeds S,..] \
          [--insts N] [--check] [--json PATH] [--csv PATH] [--store PATH] \
@@ -552,24 +553,11 @@ fn main() {
         .unwrap_or_else(experiment_budget);
 
     let mut scenario = match which.as_str() {
-        "fig2" => Scenario::fig2(budget),
-        "fig11" => Scenario::fig11(budget),
-        "fig12" => Scenario::fig12(budget),
-        "smoke" => {
-            let mut s = Scenario::smoke();
-            // The smoke preset keeps its own tiny default budget but still
-            // honours an explicit --insts.
-            if insts_override.is_some() {
-                s.budget = budget;
-            }
-            s
-        }
-        "stress" => Scenario::stress(budget),
-        "leakage" => Scenario::leakage(budget),
-        "multidomain" => Scenario::multidomain(budget),
-        "dvfs" => Scenario::dvfs(budget),
+        // The smoke preset keeps its own tiny default budget but still
+        // honours an explicit --insts.
+        "smoke" if insts_override.is_none() => Scenario::smoke(),
         "custom" => Scenario::new("custom", budget),
-        _ => usage(),
+        name => Scenario::preset(name, budget).unwrap_or_else(|| usage()),
     };
 
     let mut check = false;
@@ -693,7 +681,9 @@ fn main() {
     let table = match scenario.name.as_str() {
         "fig2" => Some(run.fig2_table()),
         "fig11" => Some(run.fig11_table()),
-        "fig12" => Some(run.fig12_table()),
+        "fig12" => Some(run.clock_sweep_table(ClockSweepMetric::Performance)),
+        "fig15" => Some(run.fig15_table()),
+        "ec_residency" => Some(run.ec_residency_table()),
         _ => None,
     };
     match table {

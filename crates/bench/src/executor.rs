@@ -19,10 +19,13 @@
 //! family drops into scenarios, the result store, reports, invariants and
 //! telemetry with zero changes in those layers.
 //!
-//! Store-key compatibility is load-bearing: for the pre-registry families
-//! the executor derives byte-for-byte the same content address the old
-//! `baseline_key`/`flywheel_key` paths produced (pinned by tests here and in
-//! [`crate::store`]), so generalizing the dispatch moved no stored result.
+//! Store-key compatibility is load-bearing: the five pre-registry families
+//! (the baseline, its two Figure 2 variants, the register-allocation machine
+//! and the Flywheel) file their cells under [`store::baseline_key`] /
+//! [`store::flywheel_key`] of their resolved configuration — the kernel name
+//! plus the configuration's `Debug` string, which already tells the variants
+//! apart — so every figure cell in the committed store stays addressable.
+//! Later families key under their own name ([`store::family_key`]).
 
 use crate::store::{self, RunStats, StoreKey};
 use crate::telemetry;
@@ -98,7 +101,8 @@ pub trait Executor {
 
     /// The content address of this cell at `budget`: a hash of the family
     /// name, the full machine configuration, workload, seed, budget and the
-    /// code-version salt (see [`crate::store`]).
+    /// code-version salt (see [`crate::store`]). The baseline and Flywheel
+    /// kernels' families override it with the kernel-named derivation.
     fn key(&self, budget: SimBudget) -> StoreKey {
         let a = self.axes();
         store::family_key(
@@ -110,30 +114,12 @@ pub trait Executor {
         )
     }
 
-    /// Runs the cell against the shared recorded trace of its
-    /// `(benchmark, seed)` pair, recalling it from the process-global result
-    /// store instead when one is installed (records round-trip
-    /// bit-identically, so callers cannot tell the difference).
+    /// Simulates the cell against the shared recorded trace of its
+    /// `(benchmark, seed)` pair: the single choke point through which this
+    /// family's simulations run (and are telemetry-tagged). Recalling a
+    /// stored cell instead is the caller's business
+    /// ([`Scenario::run_with_store`](crate::scenario::Scenario::run_with_store)).
     fn run(&self, budget: SimBudget) -> RunStats {
-        if store::global_store_installed() {
-            let key = self.key(budget);
-            if let Some(hit) = store::global_get(&key) {
-                return hit;
-            }
-            let r = self.simulate(budget);
-            let a = self.axes();
-            let label = store::cell_label(self.family_name(), a.bench, a.seed);
-            store::global_put(key, &label, r.clone());
-            return r;
-        }
-        self.simulate(budget)
-    }
-
-    /// Simulates the cell against the shared recorded trace, bypassing every
-    /// store: the single choke point through which this family's simulations
-    /// run (and are counted, and telemetry-tagged).
-    fn simulate(&self, budget: SimBudget) -> RunStats {
-        store::count_simulation();
         let a = *self.axes();
         let trace = crate::shared_trace(a.bench, a.seed, budget);
         // When a telemetry sink is installed, arm the thread-local recorder
@@ -454,6 +440,9 @@ impl Executor for BaselineExec {
     fn replay(&self, cursor: TraceCursor<'_>, budget: SimBudget) -> RunStats {
         RunStats::from_baseline(BaselineSim::new(self.cfg.clone(), cursor).run(budget))
     }
+    fn key(&self, budget: SimBudget) -> StoreKey {
+        store::baseline_key(&self.cfg, self.axes.bench, self.axes.seed, budget)
+    }
 }
 
 struct FlywheelBuilder {
@@ -504,6 +493,9 @@ impl Executor for FlywheelExec {
     }
     fn replay(&self, cursor: TraceCursor<'_>, budget: SimBudget) -> RunStats {
         RunStats::from_flywheel(&FlywheelSim::new(self.cfg.clone(), cursor).run(budget))
+    }
+    fn key(&self, budget: SimBudget) -> StoreKey {
+        store::flywheel_key(&self.cfg, self.axes.bench, self.axes.seed, budget)
     }
 }
 
@@ -673,31 +665,30 @@ mod tests {
     fn executor_keys_pin_the_legacy_derivation() {
         let axes = paper_axes();
         let budget = SimBudget::new(500, 2_000);
-        let base = Machine::Baseline.family().builder.build(&axes);
+        let node = TechNode::N130;
+        let key = |m: Machine| m.family().builder.build(&axes).key(budget);
+        let base = |cfg: BaselineConfig| store::baseline_key(&cfg, axes.bench, 42, budget);
+        let fly = |cfg: FlywheelConfig| store::flywheel_key(&cfg, axes.bench, 42, budget);
+        assert_eq!(key(Machine::Baseline), base(BaselineConfig::paper(node)));
         assert_eq!(
-            base.key(budget),
-            store::baseline_key(
-                &BaselineConfig::paper(TechNode::N130),
-                axes.bench,
-                42,
-                budget
-            ),
+            key(Machine::BaselineExtraFe),
+            base(BaselineConfig::paper(node).with_extra_frontend_stage())
         );
-        let fly = Machine::Flywheel.family().builder.build(&axes);
         assert_eq!(
-            fly.key(budget),
-            store::flywheel_key(
-                &FlywheelConfig::paper_iso_clock(TechNode::N130),
-                axes.bench,
-                42,
-                budget,
-            ),
+            key(Machine::BaselinePipedWakeup),
+            base(BaselineConfig::paper(node).with_pipelined_wakeup())
+        );
+        assert_eq!(
+            key(Machine::RegAlloc),
+            fly(FlywheelConfig::register_allocation_only(node))
+        );
+        assert_eq!(
+            key(Machine::Flywheel),
+            fly(FlywheelConfig::paper_iso_clock(node))
         );
         // Every family derives a distinct key at the same grid point.
-        let keys: std::collections::HashSet<StoreKey> = Machine::all()
-            .iter()
-            .map(|m| m.family().builder.build(&axes).key(budget))
-            .collect();
+        let keys: std::collections::HashSet<StoreKey> =
+            Machine::all().iter().map(|&m| key(m)).collect();
         assert_eq!(keys.len(), Machine::all().len());
     }
 

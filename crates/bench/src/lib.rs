@@ -1,13 +1,16 @@
 //! # flywheel-bench
 //!
-//! Shared experiment harness used by the `experiments` binary and the Criterion
-//! benches to regenerate every table and figure of the paper's evaluation.
+//! Shared experiment harness used by the `experiments`, `scenarios` and
+//! `report` binaries and the Criterion benches to regenerate every table and
+//! figure of the paper's evaluation.
 //!
-//! Each experiment runs the baseline machine and one or more Flywheel configurations
-//! over the paper's benchmark suite and reports the same normalized quantities the
-//! paper plots (relative performance, energy and power). Budgets are configurable so
-//! the same code serves quick benches and the full experiment runs recorded in
-//! EXPERIMENTS.md.
+//! There is one path from a figure to its numbers: a [`scenario::Scenario`]
+//! preset expands into cells, each cell's [`executor::Executor`] simulates it
+//! (or the [`store::ResultStore`] recalls it), and one
+//! [`scenario::ScenarioRun`] table function per figure renders the result —
+//! the same normalized quantities the paper plots (relative performance,
+//! energy and power). Budgets are configurable so the same code serves quick
+//! benches and the full experiment runs recorded in EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,14 +25,10 @@ pub mod store;
 pub mod supervisor;
 pub mod telemetry;
 
-use flywheel_core::{FlywheelConfig, FlywheelResult, FlywheelSim};
-use flywheel_timing::TechNode;
-use flywheel_uarch::{BaselineConfig, BaselineSim, SimBudget, SimResult};
+use flywheel_uarch::SimBudget;
 use flywheel_workloads::{Benchmark, RecordedTrace, SyntheticProgram};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-pub use store::simulations_performed;
 
 /// Seed used for every experiment (results are deterministic).
 pub const EXPERIMENT_SEED: u64 = 2005;
@@ -92,178 +91,15 @@ pub fn shared_trace(bench: Benchmark, seed: u64, budget: SimBudget) -> Arc<Recor
     trace
 }
 
-/// Runs the baseline machine on `bench` at `node`.
-pub fn run_baseline(bench: Benchmark, node: TechNode, budget: SimBudget) -> SimResult {
-    run_baseline_with(bench, BaselineConfig::paper(node), budget)
-}
-
-/// Runs a baseline variant (used by the Figure 2 pipeline-loop study) at the
-/// shared experiment seed.
-pub fn run_baseline_with(bench: Benchmark, cfg: BaselineConfig, budget: SimBudget) -> SimResult {
-    run_baseline_cfg(bench, EXPERIMENT_SEED, cfg, budget)
-}
-
-/// Runs a Flywheel configuration on `bench` at the shared experiment seed.
-pub fn run_flywheel(bench: Benchmark, cfg: FlywheelConfig, budget: SimBudget) -> FlywheelResult {
-    run_flywheel_cfg(bench, EXPERIMENT_SEED, cfg, budget)
-}
-
-/// Simulates one baseline-machine cell, bypassing every store. The single
-/// choke point through which all baseline simulations run (and are counted).
-fn simulate_baseline(
-    bench: Benchmark,
-    seed: u64,
-    cfg: BaselineConfig,
-    budget: SimBudget,
-) -> SimResult {
-    store::count_simulation();
-    let trace = shared_trace(bench, seed, budget);
-    // When a telemetry sink is installed, arm the thread-local recorder for
-    // this cell, tagged with the same content address the store files the
-    // cell under. Disarmed cost: one atomic load.
-    let _telemetry = telemetry::arm_cell(|| {
-        (
-            store::baseline_key(&cfg, bench, seed, budget),
-            store::cell_label("baseline", bench, seed),
-        )
-    });
-    BaselineSim::new(cfg, trace.cursor()).run(budget)
-}
-
-/// Simulates one Flywheel-machine cell, bypassing every store.
-fn simulate_flywheel(
-    bench: Benchmark,
-    seed: u64,
-    cfg: FlywheelConfig,
-    budget: SimBudget,
-) -> FlywheelResult {
-    store::count_simulation();
-    let trace = shared_trace(bench, seed, budget);
-    let _telemetry = telemetry::arm_cell(|| {
-        (
-            store::flywheel_key(&cfg, bench, seed, budget),
-            store::cell_label("flywheel", bench, seed),
-        )
-    });
-    FlywheelSim::new(cfg, trace.cursor()).run(budget)
-}
-
-/// Runs (or recalls) a baseline-machine cell at an explicit seed.
-///
-/// When a process-global [`store::ResultStore`] is installed (the binaries'
-/// `--store` flag), the cell's content address is looked up first and a hit is
-/// returned without simulating — the record round-trips bit-identically, so
-/// callers cannot tell the difference.
-pub fn run_baseline_cfg(
-    bench: Benchmark,
-    seed: u64,
-    cfg: BaselineConfig,
-    budget: SimBudget,
-) -> SimResult {
-    if store::global_store_installed() {
-        let key = store::baseline_key(&cfg, bench, seed, budget);
-        if let Some(hit) = store::global_get(&key) {
-            return hit.sim;
-        }
-        let r = simulate_baseline(bench, seed, cfg, budget);
-        let label = store::cell_label("baseline", bench, seed);
-        store::global_put(key, &label, store::RunStats::from_baseline(r.clone()));
-        return r;
-    }
-    simulate_baseline(bench, seed, cfg, budget)
-}
-
-/// Runs (or recalls) a Flywheel-machine cell at an explicit seed. See
-/// [`run_baseline_cfg`] for the store semantics.
-pub fn run_flywheel_cfg(
-    bench: Benchmark,
-    seed: u64,
-    cfg: FlywheelConfig,
-    budget: SimBudget,
-) -> FlywheelResult {
-    if store::global_store_installed() {
-        let key = store::flywheel_key(&cfg, bench, seed, budget);
-        if let Some(r) = store::global_get(&key).and_then(|s| s.to_flywheel_result()) {
-            return r;
-        }
-        let r = simulate_flywheel(bench, seed, cfg, budget);
-        let label = store::cell_label("flywheel", bench, seed);
-        store::global_put(key, &label, store::RunStats::from_flywheel(&r));
-        return r;
-    }
-    simulate_flywheel(bench, seed, cfg, budget)
-}
-
-/// One row of a per-benchmark, per-configuration result table.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Benchmark name (paper label).
-    pub bench: &'static str,
-    /// One value per swept configuration.
-    pub values: Vec<f64>,
-}
-
-/// Renders a table of rows plus their average row, Figure-style, to a string.
-///
-/// This is the single formatting path for figure tables: both the
-/// `experiments` binary and the scenario engine's figure presets render
-/// through it, which is what makes their outputs byte-comparable.
-pub fn format_table(title: &str, columns: &[String], rows: &[Row]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "\n== {title} ==");
-    let _ = write!(out, "{:<10}", "bench");
-    for c in columns {
-        let _ = write!(out, " {c:>10}");
-    }
-    let _ = writeln!(out);
-    let mut sums = vec![0.0; columns.len()];
-    for row in rows {
-        let _ = write!(out, "{:<10}", row.bench);
-        for (i, v) in row.values.iter().enumerate() {
-            sums[i] += v;
-            let _ = write!(out, " {v:>10.3}");
-        }
-        let _ = writeln!(out);
-    }
-    let _ = write!(out, "{:<10}", "average");
-    for s in &sums {
-        let _ = write!(out, " {:>10.3}", s / rows.len() as f64);
-    }
-    let _ = writeln!(out);
-    out
-}
-
-/// Prints a table of rows plus their geometric-mean/average row, Figure-style.
-pub fn print_table(title: &str, columns: &[String], rows: &[Row]) {
-    print!("{}", format_table(title, columns, rows));
-}
-
-/// Applies `f` to every item on a pool of scoped worker threads and returns the
+/// Applies `f` to every item on `jobs` scoped worker threads and returns the
 /// results in input order.
 ///
 /// Experiment cells — one (benchmark, configuration) simulation each — are
-/// deterministic and fully independent, so the figure sweeps scale across
-/// cores. Work is handed out through a shared atomic cursor, which balances the
-/// load even though cell runtimes differ by benchmark.
-///
-/// The container has no access to crates.io (no rayon), so this is a small
-/// hand-rolled scoped-thread fan-out; `FLYWHEEL_JOBS` caps the worker count
-/// (default: all available cores).
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_jobs(items, worker_count(), f)
-}
-
-/// [`parallel_map`] with an explicit worker count instead of the
-/// `FLYWHEEL_JOBS`/core-count default.
-///
-/// Exposed so the scenario engine (and the parallel-identity tests) can pin
-/// the worker count without mutating process-wide environment variables.
+/// deterministic and fully independent, so the sweeps scale across cores.
+/// Work is handed out through a shared atomic cursor, which balances the load
+/// even though cell runtimes differ by benchmark. The container has no access
+/// to crates.io (no rayon), so this is a small hand-rolled scoped-thread
+/// fan-out; callers pass [`worker_count`] unless they pin the count.
 pub fn parallel_map_jobs<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -298,8 +134,8 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// The number of sweep worker threads [`parallel_map`] uses: the `FLYWHEEL_JOBS`
-/// override if set, otherwise all available cores.
+/// The default number of sweep worker threads: the `FLYWHEEL_JOBS` override
+/// if set, otherwise all available cores.
 pub fn worker_count() -> usize {
     std::env::var("FLYWHEEL_JOBS")
         .ok()
@@ -338,18 +174,17 @@ pub fn experiment_budget() -> SimBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Machine, ScenarioCell};
+    use flywheel_timing::TechNode;
+    use flywheel_uarch::{BaselineConfig, BaselineSim};
 
     #[test]
     fn harness_runs_a_tiny_experiment_end_to_end() {
         let budget = SimBudget::new(1_000, 5_000);
-        let base = run_baseline(Benchmark::Micro, TechNode::N130, budget);
-        let fly = run_flywheel(
-            Benchmark::Micro,
-            FlywheelConfig::paper_iso_clock(TechNode::N130),
-            budget,
-        );
-        assert_eq!(base.instructions, fly.sim.instructions);
-        assert!(fly.speedup_over(&base) > 0.2);
+        let base = ScenarioCell::paper(Machine::Baseline, Benchmark::Micro).run(budget);
+        let fly = ScenarioCell::paper(Machine::Flywheel, Benchmark::Micro).run(budget);
+        assert_eq!(base.sim.instructions, fly.sim.instructions);
+        assert!(fly.sim.speedup_over(&base.sim) > 0.2);
     }
 
     #[test]
@@ -365,18 +200,15 @@ mod tests {
             TraceGenerator::new(&program, EXPERIMENT_SEED),
         )
         .run(budget);
-        let cached = run_baseline(Benchmark::Micro, TechNode::N130, budget);
-        assert_eq!(direct, cached);
+        let cell = ScenarioCell::paper(Machine::Baseline, Benchmark::Micro);
+        assert_eq!(direct, cell.run(budget).sim);
         // Grow the cached capture, then re-run the small budget.
         let _ = shared_trace(
             Benchmark::Micro,
             EXPERIMENT_SEED,
             SimBudget::new(2_000, 10_000),
         );
-        assert_eq!(
-            direct,
-            run_baseline(Benchmark::Micro, TechNode::N130, budget)
-        );
+        assert_eq!(direct, cell.run(budget).sim);
     }
 
     #[test]
@@ -395,10 +227,10 @@ mod tests {
     fn parallel_map_matches_serial_map_in_order() {
         let items: Vec<u64> = (0..100).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-        let parallel = parallel_map(&items, |&x| x * x + 1);
+        let parallel = parallel_map_jobs(&items, 4, |&x| x * x + 1);
         assert_eq!(serial, parallel);
-        assert!(parallel_map::<u64, u64, _>(&[], |&x| x).is_empty());
-        assert_eq!(parallel_map(&[7u64], |&x| x + 1), vec![8]);
+        assert!(parallel_map_jobs::<u64, u64, _>(&[], 4, |&x| x).is_empty());
+        assert_eq!(parallel_map_jobs(&[7u64], 4, |&x| x + 1), vec![8]);
     }
 
     #[test]
@@ -406,15 +238,21 @@ mod tests {
         // The sweep cells must be bitwise independent of scheduling: the same
         // simulation run on a worker thread gives the same result as inline.
         let budget = SimBudget::new(1_000, 4_000);
-        let cells: Vec<(Benchmark, u32)> = vec![(Benchmark::Micro, 0), (Benchmark::Micro, 50)];
-        let parallel = parallel_map(&cells, |&(b, fe)| {
-            run_flywheel(b, FlywheelConfig::paper(TechNode::N130, fe, 50), budget)
-        });
-        for (i, &(b, fe)) in cells.iter().enumerate() {
-            let serial = run_flywheel(b, FlywheelConfig::paper(TechNode::N130, fe, 50), budget);
+        let cells: Vec<ScenarioCell> = [0, 50]
+            .into_iter()
+            .map(|fe_pct| ScenarioCell {
+                fe_pct,
+                be_pct: 50,
+                ..ScenarioCell::paper(Machine::Flywheel, Benchmark::Micro)
+            })
+            .collect();
+        let parallel = parallel_map_jobs(&cells, 2, |c| c.run(budget));
+        for (cell, result) in cells.iter().zip(&parallel) {
             assert_eq!(
-                serial, parallel[i],
-                "cell {b}/FE{fe} diverged across threads"
+                &cell.run(budget),
+                result,
+                "cell {} diverged across threads",
+                cell.label()
             );
         }
     }

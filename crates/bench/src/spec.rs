@@ -4,8 +4,7 @@
 //!
 //! This is the wire format of the supervision layer: the supervisor hands a
 //! worker process its grid as a spec string (one argv token, no files to
-//! clean up), and `flywheel-serve` accepts the same string as a `POST /sweep`
-//! body. Keeping it a pure function of the scenario — stable field order,
+//! clean up). Keeping it a pure function of the scenario — stable field order,
 //! defaults written out explicitly — means equal scenarios produce equal
 //! spec strings, which the determinism tests lean on.
 //!
@@ -163,25 +162,6 @@ pub fn scenario_to_spec(s: &Scenario) -> Result<String, SpecError> {
     ))
 }
 
-/// Expands a `preset=NAME` spec into the named [`Scenario`] preset.
-fn preset(name: &str, budget: SimBudget) -> Result<Scenario, String> {
-    Ok(match name {
-        "smoke" => {
-            let mut s = Scenario::smoke();
-            s.budget = budget;
-            s
-        }
-        "fig2" => Scenario::fig2(budget),
-        "fig11" => Scenario::fig11(budget),
-        "fig12" => Scenario::fig12(budget),
-        "stress" => Scenario::stress(budget),
-        "leakage" => Scenario::leakage(budget),
-        "multidomain" => Scenario::multidomain(budget),
-        "dvfs" => Scenario::dvfs(budget),
-        other => return Err(format!("unknown scenario preset '{other}'")),
-    })
-}
-
 fn parse_pair(field: &str, value: &str) -> Result<(u32, u32), String> {
     let (a, b) = value
         .split_once(':')
@@ -239,7 +219,8 @@ pub fn scenario_from_spec(spec: &str) -> Result<Scenario, String> {
     let budget = SimBudget::new(warmup.unwrap_or(2_000), measured.unwrap_or(8_000));
 
     let mut scenario = match fields.iter().find(|(k, _)| *k == "preset") {
-        Some(&(_, name)) => preset(name, budget)?,
+        Some(&(_, name)) => Scenario::preset(name, budget)
+            .ok_or_else(|| format!("unknown scenario preset '{name}'"))?,
         None => {
             let mut s = Scenario::new("spec", budget);
             s.budget = budget;
@@ -340,6 +321,8 @@ mod tests {
             Scenario::fig2(budget),
             Scenario::fig11(budget),
             Scenario::fig12(budget),
+            Scenario::fig15(budget),
+            Scenario::ec_residency(budget),
             Scenario::stress(budget),
             Scenario::leakage(budget),
             Scenario::multidomain(budget),

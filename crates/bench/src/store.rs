@@ -19,10 +19,11 @@
 //!   (hand-rolled serialization; the build container has no registry access
 //!   for serde, mirroring `flywheel-rng`'s approach to `rand`).
 //!
-//! The `scenarios` and `experiments` binaries consult a store before
-//! simulating (`--store PATH`), so a re-run after touching one workload only
-//! simulates the affected cells; the `flywheel-report` crate regenerates the
-//! Markdown figure tables byte-identically from the same records.
+//! Every sweep consults a store before simulating
+//! ([`Scenario::run_with_store`](crate::scenario::Scenario::run_with_store);
+//! the binaries' `--store PATH`), so a re-run after touching one workload
+//! only simulates the affected cells; the `flywheel-report` crate renders the
+//! Markdown figure tables from the same records through the same call.
 
 use flywheel_core::{FlywheelResult, FlywheelStats};
 use flywheel_uarch::{BaselineConfig, SimBudget, SimResult};
@@ -33,7 +34,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Why a store operation failed. Every fallible store entry point returns this
 /// instead of panicking (or leaking a bare [`std::io::Error`]), so a bad disk
@@ -900,62 +900,6 @@ impl ResultStore {
         }
         Ok(outcome)
     }
-
-    /// Recalls a baseline-machine cell by content address.
-    pub fn recall_baseline(
-        &self,
-        cfg: &BaselineConfig,
-        bench: Benchmark,
-        seed: u64,
-        budget: SimBudget,
-    ) -> Option<SimResult> {
-        self.get(&baseline_key(cfg, bench, seed, budget))
-            .map(|r| r.sim.clone())
-    }
-
-    /// Records a baseline-machine cell under its content address.
-    pub fn record_baseline(
-        &mut self,
-        cfg: &BaselineConfig,
-        bench: Benchmark,
-        seed: u64,
-        budget: SimBudget,
-        sim: &SimResult,
-    ) -> Result<(), StoreError> {
-        self.insert(
-            baseline_key(cfg, bench, seed, budget),
-            &cell_label("baseline", bench, seed),
-            RunStats::from_baseline(sim.clone()),
-        )
-    }
-
-    /// Recalls a Flywheel-machine cell by content address.
-    pub fn recall_flywheel(
-        &self,
-        cfg: &flywheel_core::FlywheelConfig,
-        bench: Benchmark,
-        seed: u64,
-        budget: SimBudget,
-    ) -> Option<FlywheelResult> {
-        self.get(&flywheel_key(cfg, bench, seed, budget))
-            .and_then(RunStats::to_flywheel_result)
-    }
-
-    /// Records a Flywheel-machine cell under its content address.
-    pub fn record_flywheel(
-        &mut self,
-        cfg: &flywheel_core::FlywheelConfig,
-        bench: Benchmark,
-        seed: u64,
-        budget: SimBudget,
-        r: &FlywheelResult,
-    ) -> Result<(), StoreError> {
-        self.insert(
-            flywheel_key(cfg, bench, seed, budget),
-            &cell_label("flywheel", bench, seed),
-            RunStats::from_flywheel(r),
-        )
-    }
 }
 
 /// The human-readable label written next to a harness cell's record.
@@ -1036,84 +980,11 @@ pub struct StoreSummary {
     pub simulated: usize,
 }
 
-// ---------------------------------------------------------------------------
-// Process-global store (used by the binaries' `--store` flag) and the
-// simulation counter.
-// ---------------------------------------------------------------------------
-
-static GLOBAL_STORE: Mutex<Option<ResultStore>> = Mutex::new(None);
-static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
-static SIMULATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Installs `store` as the process-global store consulted by
-/// [`crate::run_baseline_cfg`]/[`crate::run_flywheel_cfg`] (and therefore by
-/// every harness runner and scenario cell). Resets the hit/miss counters.
-///
-/// All global-store accessors recover from a poisoned lock rather than
-/// panicking: a worker that died mid-cell (now an isolated, reported failure)
-/// must not cascade into every later store access. The store's own state
-/// stays consistent across a poisoning because record/label inserts happen
-/// only after the disk append completed.
-pub fn install_global_store(store: ResultStore) {
-    GLOBAL_HITS.store(0, Ordering::Relaxed);
-    GLOBAL_MISSES.store(0, Ordering::Relaxed);
-    *GLOBAL_STORE.lock().unwrap_or_else(PoisonError::into_inner) = Some(store);
-}
-
-/// Removes and returns the process-global store.
-pub fn take_global_store() -> Option<ResultStore> {
-    GLOBAL_STORE
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-}
-
-/// Whether a process-global store is installed.
-pub fn global_store_installed() -> bool {
-    GLOBAL_STORE
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .is_some()
-}
-
-/// (hits, misses) of the process-global store since it was installed.
-pub fn global_store_counters() -> (u64, u64) {
-    (
-        GLOBAL_HITS.load(Ordering::Relaxed),
-        GLOBAL_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-pub(crate) fn global_get(key: &StoreKey) -> Option<RunStats> {
-    let guard = GLOBAL_STORE.lock().unwrap_or_else(PoisonError::into_inner);
-    let store = guard.as_ref()?;
-    let hit = store.get(key).cloned();
-    match &hit {
-        Some(_) => GLOBAL_HITS.fetch_add(1, Ordering::Relaxed),
-        None => GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    hit
-}
-
-pub(crate) fn global_put(key: StoreKey, label: &str, stats: RunStats) {
-    let mut guard = GLOBAL_STORE.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(store) = guard.as_mut() {
-        if let Err(e) = store.insert(key, label, stats) {
-            eprintln!("warning: could not append to the result store: {e}");
-        }
+impl std::ops::AddAssign for StoreSummary {
+    fn add_assign(&mut self, other: StoreSummary) {
+        self.hits += other.hits;
+        self.simulated += other.simulated;
     }
-}
-
-/// Total simulations actually executed by this process (store hits do not
-/// count). Monotone; read deltas around a sweep to see how much work the
-/// store saved.
-pub fn simulations_performed() -> u64 {
-    SIMULATIONS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn count_simulation() {
-    SIMULATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]

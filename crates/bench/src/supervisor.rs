@@ -384,7 +384,7 @@ impl WorkerStatus {
 /// If this process was invoked as a shard worker (`argv[1]` is
 /// [`WORKER_ARGV`]), runs the shard sweep and exits; otherwise returns so the
 /// caller's normal `main` proceeds. Every binary that acts as a supervisor
-/// front end (`scenarios`, `flywheel-serve`) calls this first, so
+/// front end (`scenarios`) calls this first, so
 /// `std::env::current_exe()` doubles as the worker executable.
 pub fn maybe_run_shard_worker() {
     let mut args = std::env::args().skip(1);

@@ -5,10 +5,11 @@
 //! process-global (one drain thread, one log), so this must not share a
 //! process with tests that arm their own sessions or count events.
 
+use flywheel_bench::scenario::{Machine, ScenarioCell};
+use flywheel_bench::store;
 use flywheel_bench::telemetry::{
     finish_global_telemetry, install_global_telemetry, telemetry_installed, TelemetryLog,
 };
-use flywheel_bench::{run_baseline_cfg, run_flywheel_cfg, store};
 use flywheel_core::FlywheelConfig;
 use flywheel_timing::TechNode;
 use flywheel_uarch::telemetry::TelemetryEvent;
@@ -25,10 +26,14 @@ fn armed_runs_flush_a_clean_content_addressed_event_log() {
     let budget = SimBudget::new(500, 20_000);
     let bcfg = BaselineConfig::paper(TechNode::N130);
     let fcfg = FlywheelConfig::paper_iso_clock(TechNode::N130);
+    let cell = |machine| ScenarioCell {
+        seed: 42,
+        ..ScenarioCell::paper(machine, Benchmark::Micro)
+    };
 
     // Disarmed process: no sink, kernels must record nothing.
     assert!(!telemetry_installed());
-    let disarmed = run_flywheel_cfg(Benchmark::Micro, 42, fcfg.clone(), budget);
+    let disarmed = cell(Machine::Flywheel).run(budget);
 
     let path = tmp("log.events");
     install_global_telemetry(&path, 256).expect("sink installs");
@@ -38,12 +43,11 @@ fn armed_runs_flush_a_clean_content_addressed_event_log() {
         "double install must be rejected"
     );
 
-    let _armed_b = run_baseline_cfg(Benchmark::Micro, 42, bcfg.clone(), budget);
-    let armed_f = run_flywheel_cfg(Benchmark::Micro, 42, fcfg.clone(), budget);
+    let _armed_b = cell(Machine::Baseline).run(budget);
+    let armed_f = cell(Machine::Flywheel).run(budget);
     // Telemetry is observational only: armed and disarmed runs simulate
     // identical machines.
-    assert_eq!(armed_f.sim, disarmed.sim);
-    assert_eq!(armed_f.flywheel, disarmed.flywheel);
+    assert_eq!(armed_f, disarmed);
 
     let summary = finish_global_telemetry().expect("sink was installed");
     assert!(!telemetry_installed());

@@ -22,7 +22,8 @@
 //!                     with per-cell EC-residency timelines and occupancy
 //!                     sparklines
 //! --populate          simulate (and store) any record the figures need that
-//!                     the store is missing, instead of failing
+//!                     the store is missing, instead of failing (without it, a
+//!                     missing figure cell fails the run, naming the cell)
 //! --check             verify the committed documents against the store and
 //!                     exit non-zero on any disagreement, writing nothing
 //! ```
@@ -36,8 +37,8 @@
 use flywheel_bench::store::ResultStore;
 use flywheel_bench::telemetry::TelemetryLog;
 use flywheel_report::{
-    check_block, degraded_cells_section, diff_texts, experiments_block, patch_block, populate,
-    results_markdown, telemetry_section, Source,
+    check_block, check_stored, degraded_cells_section, diff_texts, experiments_block, patch_block,
+    results_markdown, telemetry_section, FigureRuns,
 };
 use flywheel_uarch::SimBudget;
 
@@ -91,8 +92,13 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("could not open store {store_path}: {e}")));
     println!("store {store_path}: {} records", store.len());
 
+    // Without --populate a missing figure cell is an error, so rendering
+    // below recalls every cell and simulates nothing.
+    if !do_populate {
+        check_stored(&store, budget).unwrap_or_else(|e| fail(&e));
+    }
+    let (runs, summary) = FigureRuns::run(&mut store, budget).unwrap_or_else(|e| fail(&e));
     if do_populate {
-        let summary = populate(&mut store, budget).unwrap_or_else(|e| fail(&e));
         println!(
             "populate: {} cells recalled, {} simulated, {} records total",
             summary.hits,
@@ -108,9 +114,7 @@ fn main() {
         );
     }
 
-    let mut src = Source::read_only(&mut store);
-    let mut results =
-        results_markdown(&mut src, budget, bench_json.as_deref()).unwrap_or_else(|e| fail(&e));
+    let mut results = results_markdown(&runs, bench_json.as_deref()).unwrap_or_else(|e| fail(&e));
     if let Some(path) = &scenario_json_path {
         let json = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("could not read {path}: {e}")));
@@ -123,7 +127,7 @@ fn main() {
         println!("telemetry log {path}: {}", log.describe());
         results.push_str(&telemetry_section(&log));
     }
-    let block = experiments_block(&mut src, budget).unwrap_or_else(|e| fail(&e));
+    let block = experiments_block(&runs).unwrap_or_else(|e| fail(&e));
 
     if do_check {
         let mut failures = Vec::new();

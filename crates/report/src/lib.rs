@@ -6,46 +6,35 @@
 //! simulators produce.
 //!
 //! * Every paper figure table (Figures 2, 11, 12, 13, 14, 15, the
-//!   Execution-Cache residency study, and the per-node leakage-attribution
-//!   companion tables introduced with the attributed power model) is rendered
-//!   from stored [`RunStats`](flywheel_bench::store::RunStats) records through
-//!   the exact same [`format_table`] path the `experiments` binary prints, so a
-//!   regenerated table is byte-identical to a freshly simulated one.
+//!   Execution-Cache residency study, the per-node leakage-attribution
+//!   companion tables and the two seed-sensitivity tables) comes from a
+//!   `Scenario` preset run through `Scenario::run_with_store` and rendered by
+//!   that figure's `ScenarioRun` table function ([`FigureRuns`]) — the same
+//!   presets and renderers the `experiments` binary prints through.
 //! * [`results_markdown`] assembles the full `RESULTS.md` artifact: figure
 //!   tables plus the simulator-throughput trajectory read from `BENCH.json`.
 //! * [`patch_block`]/[`extract_block`] maintain the generated section of
 //!   `EXPERIMENTS.md` between `flywheel-report` markers.
 //! * The `report` binary drives it all, and its `--check` mode is the CI gate
-//!   that fails when committed docs disagree with the store.
-//!
-//! Reads go through a [`Source`], which either refuses to simulate
-//! ([`Source::read_only`], the `--check` path) or fills store misses by
-//! simulating the missing cell ([`Source::computing`], the `--populate` path).
+//!   that fails when committed docs disagree with the store. It first refuses
+//!   a store that lacks any figure cell ([`check_stored`]), so the check never
+//!   simulates; `--populate` fills the gaps instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use flywheel_bench::stats::Aggregate;
+use flywheel_bench::scenario::{ClockSweepMetric, Scenario, ScenarioRun};
 use flywheel_bench::store::{ResultStore, StoreSummary};
 use flywheel_bench::telemetry::TelemetryLog;
-use flywheel_bench::{
-    format_table, run_baseline_cfg, run_flywheel_cfg, Row, CLOCK_SWEEP, EXPERIMENT_SEED,
-};
-use flywheel_core::{FlywheelConfig, FlywheelResult};
+use flywheel_bench::EXPERIMENT_SEED;
 use flywheel_timing::TechNode;
 use flywheel_uarch::telemetry::{ClockDomain, TelemetryEvent};
-use flywheel_uarch::{BaselineConfig, SimBudget, SimResult};
-use flywheel_workloads::Benchmark;
+use flywheel_uarch::SimBudget;
 
 /// The marker opening the generated section of EXPERIMENTS.md.
 pub const BLOCK_BEGIN: &str = "<!-- flywheel-report:begin -->";
 /// The marker closing the generated section of EXPERIMENTS.md.
 pub const BLOCK_END: &str = "<!-- flywheel-report:end -->";
-
-/// The technology node every simulated figure uses (the paper's 0.13 µm).
-fn node() -> TechNode {
-    TechNode::N130
-}
 
 /// The seed axis of the seed-sensitivity study: the experiment seed the
 /// figures use plus four more, so every sensitivity aggregate carries n = 5
@@ -54,496 +43,122 @@ pub fn sensitivity_seeds() -> &'static [u64] {
     &[2005, 2006, 2007, 2008, 2009]
 }
 
-/// A store-backed supplier of simulation results for the figure renderers.
-pub struct Source<'a> {
-    store: &'a mut ResultStore,
-    compute: bool,
-    summary: StoreSummary,
+/// The scenario presets the published tables are rendered from, in
+/// [`FigureRuns`] field order: Figure 2, Figure 11, the Figures 12–14 clock
+/// sweep, Figure 15, the EC-residency study, and Figures 11 and 15 over the
+/// [`sensitivity_seeds`].
+pub fn figure_scenarios(budget: SimBudget) -> [Scenario; 7] {
+    let seeded = |mut s: Scenario| {
+        s.seeds = sensitivity_seeds().to_vec();
+        s
+    };
+    [
+        Scenario::fig2(budget),
+        Scenario::fig11(budget),
+        Scenario::fig12(budget),
+        Scenario::fig15(budget),
+        Scenario::ec_residency(budget),
+        seeded(Scenario::fig11(budget)),
+        seeded(Scenario::fig15(budget)),
+    ]
 }
 
-impl<'a> Source<'a> {
-    /// A source that only recalls stored records; a missing record is an
-    /// error telling the operator how to populate the store.
-    pub fn read_only(store: &'a mut ResultStore) -> Self {
-        Source {
-            store,
-            compute: false,
-            summary: StoreSummary::default(),
+/// Refuses a store that lacks any cell of the [`figure_scenarios`], naming
+/// the missing cells and the commands that populate them. This is what
+/// keeps `report --check` from ever simulating.
+pub fn check_stored(store: &ResultStore, budget: SimBudget) -> Result<(), String> {
+    let mut missing: Vec<String> = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    for cell in figure_scenarios(budget).iter().flat_map(Scenario::expand) {
+        let key = cell.key(budget);
+        if !store.contains(&key) && seen.insert(key) {
+            missing.push(cell.label());
         }
     }
-
-    /// A source that simulates (and stores) any missing record.
-    pub fn computing(store: &'a mut ResultStore) -> Self {
-        Source {
-            store,
-            compute: true,
-            summary: StoreSummary::default(),
-        }
-    }
-
-    /// How many records this source recalled vs simulated so far.
-    pub fn summary(&self) -> StoreSummary {
-        self.summary
-    }
-
-    fn missing(&self, what: &str) -> String {
-        format!(
-            "no stored record for {what}; populate the store first \
-             (`cargo run --release -p flywheel-report --bin report -- --populate` or \
-             `cargo run --release -p flywheel-bench --bin experiments -- all --store results.store`)"
-        )
-    }
-
-    fn baseline_seeded(
-        &mut self,
-        bench: Benchmark,
-        cfg: BaselineConfig,
-        seed: u64,
-        budget: SimBudget,
-    ) -> Result<SimResult, String> {
-        if let Some(r) = self.store.recall_baseline(&cfg, bench, seed, budget) {
-            self.summary.hits += 1;
-            return Ok(r);
-        }
-        if !self.compute {
-            return Err(self.missing(&format!("baseline/{}/s{seed}", bench.name())));
-        }
-        let r = run_baseline_cfg(bench, seed, cfg.clone(), budget);
-        self.summary.simulated += 1;
-        self.store
-            .record_baseline(&cfg, bench, seed, budget, &r)
-            .map_err(|e| format!("could not append to the result store: {e}"))?;
-        Ok(r)
-    }
-
-    fn baseline(
-        &mut self,
-        bench: Benchmark,
-        cfg: BaselineConfig,
-        budget: SimBudget,
-    ) -> Result<SimResult, String> {
-        self.baseline_seeded(bench, cfg, EXPERIMENT_SEED, budget)
-    }
-
-    fn flywheel_seeded(
-        &mut self,
-        bench: Benchmark,
-        cfg: FlywheelConfig,
-        seed: u64,
-        budget: SimBudget,
-    ) -> Result<FlywheelResult, String> {
-        if let Some(r) = self.store.recall_flywheel(&cfg, bench, seed, budget) {
-            self.summary.hits += 1;
-            return Ok(r);
-        }
-        if !self.compute {
-            return Err(self.missing(&format!("flywheel/{}/s{seed}", bench.name())));
-        }
-        let r = run_flywheel_cfg(bench, seed, cfg.clone(), budget);
-        self.summary.simulated += 1;
-        self.store
-            .record_flywheel(&cfg, bench, seed, budget, &r)
-            .map_err(|e| format!("could not append to the result store: {e}"))?;
-        Ok(r)
-    }
-
-    fn flywheel(
-        &mut self,
-        bench: Benchmark,
-        cfg: FlywheelConfig,
-        budget: SimBudget,
-    ) -> Result<FlywheelResult, String> {
-        self.flywheel_seeded(bench, cfg, EXPERIMENT_SEED, budget)
-    }
-}
-
-/// Figure 2 (pipeline-loop stretching), byte-identical to `experiments fig2`.
-pub fn fig2_table(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let columns = vec!["fetch+1 %".to_owned(), "wakeup/sel %".to_owned()];
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let base = src.baseline(bench, BaselineConfig::paper(node()), budget)?;
-        let deeper = src.baseline(
-            bench,
-            BaselineConfig::paper(node()).with_extra_frontend_stage(),
-            budget,
-        )?;
-        let piped = src.baseline(
-            bench,
-            BaselineConfig::paper(node()).with_pipelined_wakeup(),
-            budget,
-        )?;
-        let degradation =
-            |v: &SimResult| (v.elapsed_ps as f64 / base.elapsed_ps as f64 - 1.0) * 100.0;
-        rows.push(Row {
-            bench: bench.name(),
-            values: vec![degradation(&deeper), degradation(&piped)],
-        });
-    }
-    Ok(format_table(
-        "Figure 2: performance degradation (%) from pipeline-loop stretching",
-        &columns,
-        &rows,
-    ))
-}
-
-/// Figure 11 (machines at the baseline clock), byte-identical to
-/// `experiments fig11`.
-pub fn fig11_table(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let columns = vec!["reg-alloc".to_owned(), "flywheel".to_owned()];
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let base = src.baseline(bench, BaselineConfig::paper(node()), budget)?;
-        let regalloc = src.flywheel(
-            bench,
-            FlywheelConfig::register_allocation_only(node()),
-            budget,
-        )?;
-        let flywheel = src.flywheel(bench, FlywheelConfig::paper_iso_clock(node()), budget)?;
-        rows.push(Row {
-            bench: bench.name(),
-            values: vec![regalloc.speedup_over(&base), flywheel.speedup_over(&base)],
-        });
-    }
-    Ok(format_table(
-        "Figure 11: performance at the baseline clock, normalized to the baseline",
-        &columns,
-        &rows,
-    ))
-}
-
-/// Which Figure 12–14 metric to read off the shared clock-sweep matrix.
-#[derive(Debug, Clone, Copy)]
-pub enum ClockSweepMetric {
-    /// Figure 12: relative performance.
-    Performance,
-    /// Figure 13: relative energy.
-    Energy,
-    /// Figure 14: relative power.
-    Power,
-}
-
-impl ClockSweepMetric {
-    fn title(&self) -> &'static str {
-        match self {
-            ClockSweepMetric::Performance => "Figure 12: relative performance",
-            ClockSweepMetric::Energy => "Figure 13: relative energy",
-            ClockSweepMetric::Power => "Figure 14: relative power",
-        }
-    }
-}
-
-/// One of the Figure 12–14 tables, byte-identical to the `experiments`
-/// binary's `fig12`/`fig13`/`fig14` output.
-pub fn clock_sweep_table(
-    src: &mut Source<'_>,
-    metric: ClockSweepMetric,
-    budget: SimBudget,
-) -> Result<String, String> {
-    let columns: Vec<String> = CLOCK_SWEEP
-        .iter()
-        .map(|(fe, be)| format!("FE{fe}/BE{be}"))
-        .collect();
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let base = src.baseline(bench, BaselineConfig::paper(node()), budget)?;
-        let mut values = Vec::new();
-        for &(fe, be) in &CLOCK_SWEEP {
-            let fly = src.flywheel(bench, FlywheelConfig::paper(node(), fe, be), budget)?;
-            values.push(match metric {
-                ClockSweepMetric::Performance => fly.speedup_over(&base),
-                ClockSweepMetric::Energy => fly.energy_ratio_over(&base),
-                ClockSweepMetric::Power => fly.power_ratio_over(&base),
-            });
-        }
-        rows.push(Row {
-            bench: bench.name(),
-            values,
-        });
-    }
-    Ok(format_table(metric.title(), &columns, &rows))
-}
-
-/// Figure 15 (relative energy per technology node), byte-identical to
-/// `experiments fig15`.
-pub fn fig15_table(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let nodes = TechNode::power_study_nodes();
-    let columns: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let mut values = Vec::new();
-        for &n in nodes {
-            let base = src.baseline(bench, BaselineConfig::paper(n), budget)?;
-            let fly = src.flywheel(bench, FlywheelConfig::paper(n, 100, 50), budget)?;
-            values.push(fly.energy_ratio_over(&base));
-        }
-        rows.push(Row {
-            bench: bench.name(),
-            values,
-        });
-    }
-    Ok(format_table(
-        "Figure 15: relative energy of Flywheel (FE100%, BE50%) per technology node",
-        &columns,
-        &rows,
-    ))
-}
-
-/// The leakage-attribution companion to Figure 15 at one technology node: how
-/// much of each machine's total energy is leakage, how much of the Flywheel
-/// machine's total leaks through its extra structures (Execution Cache +
-/// Register Update — exactly the components the baseline no longer pays for
-/// since the attributed power model), and the energy-delay-product ratio that
-/// summarizes the trade.
-///
-/// Reads the same cells as Figure 15, so it adds no simulations to
-/// [`populate`].
-pub fn leakage_attribution_table(
-    src: &mut Source<'_>,
-    n: TechNode,
-    budget: SimBudget,
-) -> Result<String, String> {
-    let columns = vec![
-        "base leak %".to_owned(),
-        "fly leak %".to_owned(),
-        "fly extra %".to_owned(),
-        "edp ratio".to_owned(),
-    ];
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let base = src.baseline(bench, BaselineConfig::paper(n), budget)?;
-        let fly = src.flywheel(bench, FlywheelConfig::paper(n, 100, 50), budget)?;
-        rows.push(Row {
-            bench: bench.name(),
-            values: vec![
-                base.energy.leakage_fraction() * 100.0,
-                fly.sim.energy.leakage_fraction() * 100.0,
-                fly.sim.energy.flywheel_leakage_fraction() * 100.0,
-                fly.sim.edp_ratio_over(&base),
-            ],
-        });
-    }
-    Ok(format_table(
-        &format!("Leakage attribution at {n} (Flywheel at FE100%, BE50%)"),
-        &columns,
-        &rows,
-    ))
-}
-
-/// The Execution-Cache residency study, byte-identical to
-/// `experiments ec_residency`.
-pub fn ec_residency_table(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let columns = vec!["residency".to_owned(), "ec hit rate".to_owned()];
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let fly = src.flywheel(bench, FlywheelConfig::paper_iso_clock(node()), budget)?;
-        rows.push(Row {
-            bench: bench.name(),
-            values: vec![fly.flywheel.ec_residency, fly.flywheel.ec_hit_rate()],
-        });
-    }
-    Ok(format_table(
-        "Execution-path residency (paper reports an 88% average; vortex the lowest)",
-        &columns,
-        &rows,
-    ))
-}
-
-/// One row of a seed-sensitivity table: per column, a `(mean, ci95)` pair.
-struct CiRow {
-    bench: &'static str,
-    values: Vec<(f64, f64)>,
-}
-
-/// Renders a seed-sensitivity table in the figure-table style, one
-/// `mean ± half-width` cell per column, plus the average row. Kept separate
-/// from [`format_table`] because confidence half-widths need more digits
-/// than point estimates.
-fn format_ci_table(title: &str, columns: &[String], rows: &[CiRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "\n== {title} ==");
-    let _ = write!(out, "{:<10}", "bench");
-    for c in columns {
-        let _ = write!(out, " {c:>16}");
-    }
-    let _ = writeln!(out);
-    let mut sums = vec![(0.0, 0.0); columns.len()];
-    for row in rows {
-        let _ = write!(out, "{:<10}", row.bench);
-        for (i, &(mean, hw)) in row.values.iter().enumerate() {
-            sums[i].0 += mean;
-            sums[i].1 += hw;
-            let _ = write!(out, " {mean:>8.3} ±{hw:>6.4}");
-        }
-        let _ = writeln!(out);
-    }
-    let _ = write!(out, "{:<10}", "average");
-    for &(sum_mean, sum_hw) in &sums {
-        let _ = write!(
-            out,
-            " {:>8.3} ±{:>6.4}",
-            sum_mean / rows.len() as f64,
-            sum_hw / rows.len() as f64
-        );
-    }
-    let _ = writeln!(out);
-    out
-}
-
-/// Below this many measured instructions per cell, the relative CI-width
-/// gate is waived: a few hundred instructions measure synthesis noise, not
-/// the mechanism, so wide intervals are expected there. The published docs
-/// always render at the experiment budget (250k), far above this line.
-const CI_GATE_MIN_MEASURED: u64 = 50_000;
-
-/// The CI-width sanity gate: a seed-sensitivity interval must be finite and
-/// non-negative at any budget, and plausibly narrow at a real one. A
-/// half-width exceeding the point estimate itself at the experiment budget
-/// means the metric is unstable across seeds (or a wrong-seed record leaked
-/// into the aggregate) — the renderer refuses, which fails `report --check`
-/// and `--populate` alike. The threshold is deliberately loose: the
-/// byte-compare of the rendered tables is the precision gate; this one only
-/// rejects statistical nonsense. (The widest natural interval across the
-/// committed seed axis is parser at 73% of its estimate — workload synthesis
-/// genuinely restructures the program per seed.)
-fn check_ci(what: &str, agg: &Aggregate, budget: SimBudget) -> Result<(), String> {
-    let mean = agg.mean();
-    let hw = agg.ci95_halfwidth();
-    if !mean.is_finite() || !hw.is_finite() || hw < 0.0 {
-        return Err(format!(
-            "seed-sensitivity CI for {what} is degenerate (mean {mean}, ±{hw})"
-        ));
-    }
-    if budget.measured_instructions < CI_GATE_MIN_MEASURED {
+    if missing.is_empty() {
         return Ok(());
     }
-    let rel = hw / mean.abs().max(1e-12);
-    if rel > 1.0 {
-        return Err(format!(
-            "seed-sensitivity CI for {what} is implausibly wide: {mean:.6} ± {hw:.6} \
-             ({:.1}% of the estimate) — the metric is unstable across seeds or a \
-             wrong-seed record entered the aggregate",
-            rel * 100.0
-        ));
+    const SHOWN: usize = 5;
+    let mut names = missing[..missing.len().min(SHOWN)].join(", ");
+    if missing.len() > SHOWN {
+        names.push_str(&format!(" and {} more", missing.len() - SHOWN));
     }
-    Ok(())
-}
-
-/// Seed sensitivity of Figure 11: the reg-alloc and Flywheel speedups as
-/// mean ± 95% CI over [`sensitivity_seeds`] (each seed is an independent
-/// workload-synthesis draw of the same statistical profile, so the interval
-/// measures how much of the figure is synthesis luck rather than mechanism).
-pub fn fig11_seed_sensitivity_table(
-    src: &mut Source<'_>,
-    budget: SimBudget,
-) -> Result<String, String> {
-    let seeds = sensitivity_seeds();
-    let columns = vec!["reg-alloc".to_owned(), "flywheel".to_owned()];
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let mut ra = Aggregate::new();
-        let mut fly = Aggregate::new();
-        for &seed in seeds {
-            let base = src.baseline_seeded(bench, BaselineConfig::paper(node()), seed, budget)?;
-            let regalloc = src.flywheel_seeded(
-                bench,
-                FlywheelConfig::register_allocation_only(node()),
-                seed,
-                budget,
-            )?;
-            let full =
-                src.flywheel_seeded(bench, FlywheelConfig::paper_iso_clock(node()), seed, budget)?;
-            ra.add(regalloc.speedup_over(&base));
-            fly.add(full.speedup_over(&base));
-        }
-        check_ci(&format!("{}/reg-alloc", bench.name()), &ra, budget)?;
-        check_ci(&format!("{}/flywheel", bench.name()), &fly, budget)?;
-        rows.push(CiRow {
-            bench: bench.name(),
-            values: vec![
-                (ra.mean(), ra.ci95_halfwidth()),
-                (fly.mean(), fly.ci95_halfwidth()),
-            ],
-        });
-    }
-    Ok(format_ci_table(
-        &format!(
-            "Seed sensitivity (Figure 11): speedup mean ± 95% CI over {} seeds",
-            seeds.len()
-        ),
-        &columns,
-        &rows,
+    Err(format!(
+        "no stored record for {} figure cell(s): {names}; populate the store first \
+         (`cargo run --release -p flywheel-report --bin report -- --populate` or \
+         `cargo run --release -p flywheel-bench --bin experiments -- all --store results.store`)",
+        missing.len()
     ))
 }
 
-/// Seed sensitivity of Figure 15: the per-node relative energy of Flywheel
-/// (FE100%, BE50%) as mean ± 95% CI over [`sensitivity_seeds`].
-pub fn fig15_seed_sensitivity_table(
-    src: &mut Source<'_>,
-    budget: SimBudget,
-) -> Result<String, String> {
-    let seeds = sensitivity_seeds();
-    let nodes = TechNode::power_study_nodes();
-    let columns: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let mut values = Vec::new();
-        for &n in nodes {
-            let mut energy = Aggregate::new();
-            for &seed in seeds {
-                let base = src.baseline_seeded(bench, BaselineConfig::paper(n), seed, budget)?;
-                let fly =
-                    src.flywheel_seeded(bench, FlywheelConfig::paper(n, 100, 50), seed, budget)?;
-                energy.add(fly.energy_ratio_over(&base));
+/// Every scenario run the published figure tables are rendered from.
+pub struct FigureRuns {
+    /// Figure 2: the baseline and its two stretched-loop variants.
+    pub fig2: ScenarioRun,
+    /// Figure 11: the register-allocation machine and the Flywheel.
+    pub fig11: ScenarioRun,
+    /// Figures 12–14: the Flywheel over the clock sweep.
+    pub clock_sweep: ScenarioRun,
+    /// Figure 15 and the per-node leakage attribution.
+    pub fig15: ScenarioRun,
+    /// The Execution-Cache residency study.
+    pub ec_residency: ScenarioRun,
+    /// Figure 11 over the [`sensitivity_seeds`].
+    pub fig11_seeds: ScenarioRun,
+    /// Figure 15 over the [`sensitivity_seeds`].
+    pub fig15_seeds: ScenarioRun,
+}
+
+impl FigureRuns {
+    /// Runs every [`figure_scenarios`] preset against `store`: stored cells
+    /// are recalled, missing ones simulated and appended. Returns the runs
+    /// and how many cells were recalled vs simulated; a failed cell fails
+    /// the whole call (a published table never renders from a degraded run).
+    pub fn run(store: &mut ResultStore, budget: SimBudget) -> Result<(Self, StoreSummary), String> {
+        let mut total = StoreSummary::default();
+        let mut run_preset = |scenario: Scenario| {
+            let (run, summary) = scenario.run_with_store(store);
+            if let Some(f) = run.failed.first() {
+                return Err(format!("cell {} failed: {}", f.cell.label(), f.cause));
             }
-            check_ci(&format!("{}/{n}", bench.name()), &energy, budget)?;
-            values.push((energy.mean(), energy.ci95_halfwidth()));
+            total += summary;
+            Ok(run)
+        };
+        let [fig2, fig11, sweep, fig15, residency, fig11_seeds, fig15_seeds] =
+            figure_scenarios(budget);
+        let runs = FigureRuns {
+            fig2: run_preset(fig2)?,
+            fig11: run_preset(fig11)?,
+            clock_sweep: run_preset(sweep)?,
+            fig15: run_preset(fig15)?,
+            ec_residency: run_preset(residency)?,
+            fig11_seeds: run_preset(fig11_seeds)?,
+            fig15_seeds: run_preset(fig15_seeds)?,
+        };
+        Ok((runs, total))
+    }
+
+    /// All figure tables, in the published order.
+    pub fn tables(&self) -> Result<String, String> {
+        let mut out = self.fig2.fig2_table()?;
+        out.push_str(&self.fig11.fig11_table()?);
+        for metric in ClockSweepMetric::ALL {
+            out.push_str(&self.clock_sweep.clock_sweep_table(metric)?);
         }
-        rows.push(CiRow {
-            bench: bench.name(),
-            values,
-        });
+        out.push_str(&self.fig15.fig15_table()?);
+        for &n in TechNode::power_study_nodes() {
+            out.push_str(&self.fig15.leakage_table(n)?);
+        }
+        out.push_str(&self.ec_residency.ec_residency_table()?);
+        out.push_str(&self.fig11_seeds.fig11_seed_sensitivity_table()?);
+        out.push_str(&self.fig15_seeds.fig15_seed_sensitivity_table()?);
+        Ok(out)
     }
-    Ok(format_ci_table(
-        &format!(
-            "Seed sensitivity (Figure 15): relative energy mean ± 95% CI over {} seeds",
-            seeds.len()
-        ),
-        &columns,
-        &rows,
-    ))
-}
 
-/// All figure tables, in the `experiments all` order.
-pub fn all_figure_tables(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let mut out = String::new();
-    out.push_str(&fig2_table(src, budget)?);
-    out.push_str(&fig11_table(src, budget)?);
-    out.push_str(&clock_sweep_table(
-        src,
-        ClockSweepMetric::Performance,
-        budget,
-    )?);
-    out.push_str(&clock_sweep_table(src, ClockSweepMetric::Energy, budget)?);
-    out.push_str(&clock_sweep_table(src, ClockSweepMetric::Power, budget)?);
-    out.push_str(&fig15_table(src, budget)?);
-    for &n in TechNode::power_study_nodes() {
-        out.push_str(&leakage_attribution_table(src, n, budget)?);
+    /// The budget every run was simulated at.
+    fn budget(&self) -> SimBudget {
+        self.fig2.scenario.budget
     }
-    out.push_str(&ec_residency_table(src, budget)?);
-    out.push_str(&fig11_seed_sensitivity_table(src, budget)?);
-    out.push_str(&fig15_seed_sensitivity_table(src, budget)?);
-    Ok(out)
-}
-
-/// Simulates (or recalls) every cell the figure tables read, appending any
-/// missing record to the store. Returns how many cells were recalled vs
-/// simulated.
-pub fn populate(store: &mut ResultStore, budget: SimBudget) -> Result<StoreSummary, String> {
-    let mut src = Source::computing(store);
-    all_figure_tables(&mut src, budget)?;
-    Ok(src.summary())
 }
 
 /// Extracts one field of a hand-assembled `BENCH.json` object line.
@@ -882,14 +497,11 @@ pub fn telemetry_section(log: &TelemetryLog) -> String {
     out
 }
 
-/// Assembles the full RESULTS.md artifact from the store (and, optionally,
-/// the `BENCH.json` throughput report).
-pub fn results_markdown(
-    src: &mut Source<'_>,
-    budget: SimBudget,
-    bench_json: Option<&str>,
-) -> Result<String, String> {
-    let tables = all_figure_tables(src, budget)?;
+/// Assembles the full RESULTS.md artifact from the figure runs (and,
+/// optionally, the `BENCH.json` throughput report).
+pub fn results_markdown(runs: &FigureRuns, bench_json: Option<&str>) -> Result<String, String> {
+    let tables = runs.tables()?;
+    let budget = runs.budget();
     let mut out = String::new();
     out.push_str("# RESULTS\n\n");
     out.push_str(
@@ -927,8 +539,9 @@ pub fn results_markdown(
 }
 
 /// The generated EXPERIMENTS.md section (between the report markers).
-pub fn experiments_block(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let tables = all_figure_tables(src, budget)?;
+pub fn experiments_block(runs: &FigureRuns) -> Result<String, String> {
+    let tables = runs.tables()?;
+    let budget = runs.budget();
     Ok(format!(
         "{BLOCK_BEGIN}\n\
          The tables below are regenerated from the result store by\n\
@@ -1149,15 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn read_only_source_refuses_to_simulate() {
-        let mut store = ResultStore::in_memory();
-        let mut src = Source::read_only(&mut store);
-        let err = fig2_table(&mut src, SimBudget::new(100, 400)).unwrap_err();
-        assert!(err.contains("no stored record"), "got: {err}");
-        assert_eq!(src.summary(), StoreSummary::default());
-    }
-
-    #[test]
     fn sensitivity_seed_axis_is_sorted_unique_and_anchored() {
         let seeds = sensitivity_seeds();
         assert!(
@@ -1171,55 +775,5 @@ mod tests {
         for w in seeds.windows(2) {
             assert!(w[0] < w[1], "seed axis must be sorted and duplicate-free");
         }
-    }
-
-    #[test]
-    fn ci_width_gate_accepts_tight_and_rejects_wide_intervals() {
-        let real = SimBudget::new(50_000, 250_000);
-        // Five seeds of a stable metric: ~1% spread, comfortably inside the gate.
-        let tight = Aggregate::of([1.00, 1.01, 0.99, 1.00, 1.01]);
-        check_ci("stable", &tight, real).unwrap();
-
-        // A wild metric: the half-width dwarfs the mean.
-        let wide = Aggregate::of([0.1, 2.0, 0.1, 2.0, 0.1]);
-        let err = check_ci("unstable", &wide, real).unwrap_err();
-        assert!(err.contains("implausibly wide"), "got: {err}");
-        assert!(err.contains("unstable"), "got: {err}");
-
-        // At a toy budget the width gate is waived (noise is expected)...
-        check_ci("unstable", &wide, SimBudget::new(100, 400)).unwrap();
-        // ...but degenerate values are refused at any budget.
-        let nan = Aggregate::of([f64::NAN, 1.0]);
-        let err = check_ci("nan", &nan, SimBudget::new(100, 400)).unwrap_err();
-        assert!(err.contains("degenerate"), "got: {err}");
-    }
-
-    #[test]
-    fn ci_tables_render_means_and_half_widths() {
-        let rows = vec![
-            CiRow {
-                bench: "gzip",
-                values: vec![(0.875, 0.0123), (1.25, 0.004)],
-            },
-            CiRow {
-                bench: "vpr",
-                values: vec![(0.925, 0.0077), (1.35, 0.006)],
-            },
-        ];
-        let table = format_ci_table(
-            "Seed sensitivity (test)",
-            &["reg-alloc".to_owned(), "flywheel".to_owned()],
-            &rows,
-        );
-        assert!(table.contains("== Seed sensitivity (test) =="), "{table}");
-        assert!(
-            table.contains("gzip          0.875 ±0.0123    1.250 ±0.0040"),
-            "{table}"
-        );
-        // Average row: mean of means, mean of half-widths.
-        assert!(
-            table.contains("average       0.900 ±0.0100    1.300 ±0.0050"),
-            "{table}"
-        );
     }
 }

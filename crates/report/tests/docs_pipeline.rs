@@ -1,17 +1,16 @@
 //! End-to-end tests of the self-regenerating docs pipeline: populate a store,
 //! render the documents, verify the `--check` logic accepts faithful docs and
-//! catches tampered ones, and prove the regenerated tables are byte-identical
-//! to the `experiments` binary's simulation path.
+//! catches tampered ones, and pin the store the renders read against the
+//! kernel-named key derivation the committed `results.store` is filed under.
 
-use flywheel_bench::store::ResultStore;
-use flywheel_bench::{format_table, run_baseline, run_flywheel, Row};
+use flywheel_bench::store::{self, ResultStore};
 use flywheel_core::FlywheelConfig;
 use flywheel_report::{
-    check_block, diff_texts, ec_residency_table, experiments_block, fig11_table, patch_block,
-    populate, results_markdown, Source, BLOCK_BEGIN, BLOCK_END,
+    check_block, check_stored, diff_texts, experiments_block, patch_block, results_markdown,
+    FigureRuns, BLOCK_BEGIN, BLOCK_END,
 };
 use flywheel_timing::TechNode;
-use flywheel_uarch::SimBudget;
+use flywheel_uarch::{BaselineConfig, SimBudget};
 use flywheel_workloads::Benchmark;
 
 fn tiny_budget() -> SimBudget {
@@ -22,20 +21,21 @@ fn tiny_budget() -> SimBudget {
 fn pipeline_regenerates_checks_and_catches_tampering() {
     let budget = tiny_budget();
     let mut store = ResultStore::in_memory();
+    assert!(check_stored(&store, budget).is_err());
 
-    // Cold populate simulates every figure cell; a second populate is free.
-    let first = populate(&mut store, budget).unwrap();
+    // A cold run simulates every figure cell; a second run is free.
+    let (runs, first) = FigureRuns::run(&mut store, budget).unwrap();
     assert!(first.simulated > 0);
-    let second = populate(&mut store, budget).unwrap();
-    assert_eq!(second.simulated, 0, "populate must be incremental");
+    check_stored(&store, budget).unwrap();
+    let (again, second) = FigureRuns::run(&mut store, budget).unwrap();
+    assert_eq!(second.simulated, 0, "the figure runs must be incremental");
     assert_eq!(second.hits, first.hits + first.simulated);
 
-    // Regeneration is deterministic: two renders are byte-identical.
-    let mut src = Source::read_only(&mut store);
-    let results = results_markdown(&mut src, budget, None).unwrap();
-    let block = experiments_block(&mut src, budget).unwrap();
-    let mut src = Source::read_only(&mut store);
-    assert_eq!(results, results_markdown(&mut src, budget, None).unwrap());
+    // Regeneration is deterministic: two renders are byte-identical, whether
+    // the cells were simulated or recalled.
+    let results = results_markdown(&runs, None).unwrap();
+    let block = experiments_block(&runs).unwrap();
+    assert_eq!(results, results_markdown(&again, None).unwrap());
 
     // A faithful document passes the check.
     let doc =
@@ -68,60 +68,38 @@ fn pipeline_regenerates_checks_and_catches_tampering() {
 }
 
 #[test]
-fn store_backed_tables_match_the_simulation_path_byte_for_byte() {
-    // Render Figure 11 and the EC-residency study from stored records and
-    // recompute them the way the experiments binary does, through the same
-    // shared format_table; the bytes must agree.
+fn figure_cells_are_filed_under_the_kernel_named_keys() {
+    // The committed store files every figure cell under baseline_key /
+    // flywheel_key of the paper configuration; the figure runs must look the
+    // cells up there, or a warm check would find nothing.
     let budget = tiny_budget();
     let mut store = ResultStore::in_memory();
-    populate(&mut store, budget).unwrap();
-    let mut src = Source::read_only(&mut store);
-    let from_store = fig11_table(&mut src, budget).unwrap();
-    let residency_from_store = ec_residency_table(&mut src, budget).unwrap();
-
-    let node = TechNode::N130;
-    let columns = vec!["reg-alloc".to_owned(), "flywheel".to_owned()];
-    let mut rows = Vec::new();
-    let mut res_rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let base = run_baseline(bench, node, budget);
-        let regalloc = run_flywheel(
-            bench,
-            FlywheelConfig::register_allocation_only(node),
-            budget,
-        );
-        let flywheel = run_flywheel(bench, FlywheelConfig::paper_iso_clock(node), budget);
-        rows.push(Row {
-            bench: bench.name(),
-            values: vec![regalloc.speedup_over(&base), flywheel.speedup_over(&base)],
-        });
-        res_rows.push(Row {
-            bench: bench.name(),
-            values: vec![
-                flywheel.flywheel.ec_residency,
-                flywheel.flywheel.ec_hit_rate(),
-            ],
-        });
+    FigureRuns::run(&mut store, budget).unwrap();
+    let bench = Benchmark::Gzip;
+    for node in TechNode::power_study_nodes().iter().copied() {
+        for seed in flywheel_report::sensitivity_seeds().iter().copied() {
+            let base = BaselineConfig::paper(node);
+            assert!(store.contains(&store::baseline_key(&base, bench, seed, budget)));
+            let fly = FlywheelConfig::paper(node, 100, 50);
+            assert!(store.contains(&store::flywheel_key(&fly, bench, seed, budget)));
+        }
     }
-    let expected = format_table(
-        "Figure 11: performance at the baseline clock, normalized to the baseline",
-        &columns,
-        &rows,
-    );
-    assert_eq!(from_store, expected);
-    let expected_res = format_table(
-        "Execution-path residency (paper reports an 88% average; vortex the lowest)",
-        &["residency".to_owned(), "ec hit rate".to_owned()],
-        &res_rows,
-    );
-    assert_eq!(residency_from_store, expected_res);
+    let n130 = TechNode::N130;
+    for cfg in [
+        BaselineConfig::paper(n130).with_extra_frontend_stage(),
+        BaselineConfig::paper(n130).with_pipelined_wakeup(),
+    ] {
+        assert!(store.contains(&store::baseline_key(&cfg, bench, 2005, budget)));
+    }
+    let regalloc = FlywheelConfig::register_allocation_only(n130);
+    assert!(store.contains(&store::flywheel_key(&regalloc, bench, 2009, budget)));
 }
 
 #[test]
 fn missing_records_name_the_populate_commands() {
-    let mut store = ResultStore::in_memory();
-    let mut src = Source::read_only(&mut store);
-    let err = fig11_table(&mut src, tiny_budget()).unwrap_err();
+    let store = ResultStore::in_memory();
+    let err = check_stored(&store, tiny_budget()).unwrap_err();
+    assert!(err.contains("baseline/ijpeg/s2005"), "got: {err}");
     assert!(err.contains("--populate"), "got: {err}");
     assert!(err.contains("--store results.store"), "got: {err}");
 }

@@ -10,18 +10,19 @@
 //! keeps telemetry-off runs byte-identical to the golden transcript and
 //! within noise of the committed throughput numbers.
 //!
-//! The queue itself ([`TelemetryQueue`]) is bounded and never blocks the
-//! simulating thread: `push` uses `try_lock`, and a full (or momentarily
-//! contended) queue increments an explicit dropped-events counter instead of
-//! waiting. A background drain thread (owned by `flywheel-bench`, which also
-//! owns the on-disk event log) empties the queue concurrently.
+//! The queue itself ([`TelemetryQueue`]) is bounded: `push` takes its mutex
+//! (held only for a push or a drain swap, never across I/O), and an event
+//! arriving at a full queue increments an explicit dropped-events counter
+//! instead of waiting for room. A background drain thread (owned by
+//! `flywheel-bench`, which also owns the on-disk event log) empties the queue
+//! concurrently.
 //!
 //! Telemetry is observational only: a recorder reads kernel state and never
 //! writes it, so armed and disarmed runs simulate identical machines.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Clock domain a gating interval belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,11 +168,11 @@ struct QueueInner {
     counts: HashMap<Arc<str>, u64>,
 }
 
-/// A bounded multi-producer event queue that never blocks a producer.
+/// A bounded multi-producer event queue.
 ///
-/// `push` takes the mutex with `try_lock`; if the drain thread happens to
-/// hold it, or the queue is at capacity, the event is counted as dropped and
-/// the simulating thread moves on immediately.
+/// An event is dropped (and counted) only when the queue is at capacity, so
+/// at a volume the drain keeps up with, the log holds every event whatever
+/// the thread scheduling.
 pub struct TelemetryQueue {
     capacity: usize,
     inner: Mutex<QueueInner>,
@@ -196,23 +197,18 @@ impl TelemetryQueue {
         }
     }
 
-    /// Appends one event under `tag`. Never blocks: a full queue or a
-    /// momentarily contended lock drops the event and bumps the counter.
+    /// Appends one event under `tag`, or drops it and bumps the counter when
+    /// the queue is at capacity. A lock poisoned by a panicking holder is
+    /// recovered: every critical section leaves the queue consistent.
     pub fn push(&self, tag: &Arc<str>, event: TelemetryEvent) {
-        match self.inner.try_lock() {
-            Ok(mut inner) => {
-                if inner.events.len() >= self.capacity {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                inner.events.push_back((Arc::clone(tag), event));
-                *inner.counts.entry(Arc::clone(tag)).or_insert(0) += 1;
-                self.accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if inner.events.len() >= self.capacity {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
         }
+        inner.events.push_back((Arc::clone(tag), event));
+        *inner.counts.entry(Arc::clone(tag)).or_insert(0) += 1;
+        self.accepted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Takes every queued event (used by the drain thread).
@@ -242,7 +238,7 @@ impl TelemetryQueue {
         self.accepted.load(Ordering::Relaxed)
     }
 
-    /// Total events dropped (queue full or lock contended).
+    /// Total events dropped because the queue was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
