@@ -114,7 +114,6 @@ pub struct FlywheelSim<I: Iterator<Item = DynInst>> {
 
     // Persistent scratch buffers (reused every cycle; never allocated in the loop).
     finished_scratch: Vec<(u64, u64)>,
-    issued_scratch: Vec<u64>,
 
     // Creation-mode fetch state.
     fetch_blocked_on_branch: Option<u64>,
@@ -221,7 +220,6 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             ),
             stores: StoreIndex::new(),
             finished_scratch: Vec::new(),
-            issued_scratch: Vec::new(),
             fetch_blocked_on_branch: None,
             fetch_resume_at_ps: 0,
             builder: None,
@@ -424,19 +422,10 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
         if let Some(c) = self.sched.next_due() {
             t = t.min(self.be_cycle_time_ps(c));
         }
-        let wakeup_extra = if self.cfg.base.pipelined_wakeup { 1 } else { 0 };
-        for i in 0..self.sched.ready_len() {
-            let seq = self.sched.ready_seq(i);
-            let Some(e) = self.inflight.get(seq) else {
-                continue;
-            };
-            // A load behind an older unresolved store wakes through that
-            // store's own events (it is dispatched, woken or completing).
-            if e.d.stat.op() == OpClass::Load && self.stores.blocks_load(seq) {
-                continue;
-            }
-            let arrive = self.be_cycle_time_ps(e.ready_cycle.saturating_add(wakeup_extra));
-            t = t.min(arrive.max(self.be_edge_at_or_after(e.visible_at_ps)));
+        // Released entries' operands have already arrived, so only their
+        // visibility across the dual-clock window bounds them.
+        if let Some(v) = self.sched.earliest_visible_ps(&self.inflight, &self.stores) {
+            t = t.min(self.be_edge_at_or_after(v));
         }
         // Cycle-numbered gates that open in the future (past thresholds are
         // permanently inert).
@@ -1107,42 +1096,28 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
 
     fn issue_creation(&mut self, now: u64) {
         let cycle = self.be_cycles;
-        let wakeup_extra = if self.cfg.base.pipelined_wakeup { 1 } else { 0 };
         let mut issued_count = 0;
-        self.issued_scratch.clear();
-        self.sched.release_due(&self.inflight, cycle);
+        self.sched.begin_scan(&self.inflight, cycle);
 
-        // Scan only woken entries (all sources produced), in program order — the
-        // same order the original kernel walked the whole Issue Window in.
-        for i in 0..self.sched.ready_len() {
-            if issued_count >= self.cfg.base.issue_width {
+        // Issue released entries (operands arrived) in program order; the
+        // scan skips lanes whose head cannot issue this cycle.
+        while issued_count < self.cfg.base.issue_width {
+            let Some(seq) = self
+                .sched
+                .next_issue(&self.inflight, &self.fus, &self.stores, now)
+            else {
                 break;
-            }
-            let seq = self.sched.ready_seq(i);
-            let (op, srcs_len, visible_at, ready_cycle, mem_addr, pc, stat) = {
+            };
+            let (op, srcs_len, mem_addr, pc, stat) = {
                 let e = &self.inflight[seq];
                 (
                     e.d.stat.op(),
                     e.rename.srcs.len(),
-                    e.visible_at_ps,
-                    e.ready_cycle,
                     e.d.mem.map(|m| m.addr),
                     e.d.pc,
                     e.d.stat,
                 )
             };
-            if visible_at > now {
-                continue;
-            }
-            if ready_cycle.saturating_add(wakeup_extra) > cycle {
-                continue;
-            }
-            if !self.fus.can_issue(op) {
-                continue;
-            }
-            if op == OpClass::Load && self.stores.blocks_load(seq) {
-                continue;
-            }
             assert!(self.fus.try_issue(op));
             let exec_cycles = self.execution_latency(seq, op, mem_addr, self.be_period_creation_ps);
             self.start_execution(seq, exec_cycles);
@@ -1158,7 +1133,6 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             if op.is_mem() {
                 self.energy.record(Unit::Lsq, 1);
             }
-            self.issued_scratch.push(seq);
             issued_count += 1;
         }
         if issued_count > 0 {
@@ -1167,8 +1141,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
         if let Some(builder) = self.builder.as_mut() {
             builder.close_unit();
         }
-        self.sched.remove_issued(&self.issued_scratch);
-        self.sched.drain_wakes(&mut self.inflight);
+        self.sched.end_scan(&mut self.inflight);
     }
 
     fn start_execution(&mut self, seq: u64, exec_cycles: u64) {

@@ -10,11 +10,18 @@
 //!   in-flight sequence numbers fall inside a window bounded by the ROB and the
 //!   front-end queue, so `seq & mask` is a perfect slot index and every lookup is
 //!   one array access instead of a hash probe.
-//! * [`IssueScheduler`] — a wakeup network plus a ready list. Instructions whose
-//!   sources are still being produced register as waiters on those physical
-//!   registers; when a producer issues, its consumers are woken. The issue stage
-//!   then scans only woken entries (in program order) instead of the whole Issue
-//!   Window.
+//! * [`IssueScheduler`] — a wakeup network plus six per-port issue lanes.
+//!   Instructions whose sources are still being produced register as waiters
+//!   on those physical registers; when a producer issues, its consumers are
+//!   woken and, once their operands arrive, released into the lane of their
+//!   port class (loads, stores, integer ALU/control, integer multiply/divide,
+//!   FP add, FP multiply/divide), each sorted by sequence number. The issue
+//!   scan repeatedly takes the oldest head across the open lanes and closes a
+//!   lane for the rest of the cycle when its head cannot issue for a reason
+//!   shared by every younger entry of the lane: a full port, a head not yet
+//!   visible across the dual-clock window, or a load head behind an older
+//!   unresolved store. Store-blocked loads and port-starved entries therefore
+//!   cost one look per cycle, not one per entry.
 //! * [`StoreIndex`] — the earliest unresolved (not yet address-resolved) store
 //!   and the set of resolved stores still in the LSQ, so the "is this load
 //!   blocked by an older store" and store-to-load forwarding checks no longer
@@ -26,8 +33,9 @@
 //! HashMap-based kernels (verified with the `golden` binary in
 //! `flywheel-bench`).
 
+use crate::fu::FunctionalUnits;
 use crate::regs::{PhysReg, PhysRegFile, RenameOutcome};
-use flywheel_isa::DynInst;
+use flywheel_isa::{DynInst, OpClass};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -290,26 +298,73 @@ impl std::ops::IndexMut<u64> for InflightTable {
     }
 }
 
-/// Wakeup network + ready list: the issue stage scans only entries whose source
-/// operands have all been produced (or scheduled), in program order.
+/// Number of issue lanes: one per port class an entry can issue to.
+const LANES: usize = 6;
+
+/// The lane holding loads, the only lane closed by an unresolved older store.
+const LOAD_LANE: usize = 0;
+
+/// The issue lane of `op`: loads, stores, integer ALU/control/nop, integer
+/// multiply/divide, FP add, FP multiply/divide. Every lane maps onto a single
+/// functional-unit kind, so a full port closes the whole lane.
+fn lane_of(op: OpClass) -> usize {
+    match op {
+        OpClass::Load => LOAD_LANE,
+        OpClass::Store => 1,
+        OpClass::IntAlu | OpClass::Ctrl | OpClass::Nop => 2,
+        OpClass::IntMul | OpClass::IntDiv => 3,
+        OpClass::FpAdd => 4,
+        OpClass::FpMul | OpClass::FpDiv => 5,
+    }
+}
+
+/// Wakeup network plus per-port issue lanes: the issue stage visits only
+/// entries whose source operands have all arrived, oldest first, and stops
+/// looking at a lane as soon as its head provably cannot issue this cycle.
 ///
 /// Entries whose operands are scheduled but not yet available — a woken
 /// consumer's `ready_cycle` is its producer's issue cycle *plus the execution
 /// latency*, which for a memory-miss producer lies hundreds of cycles in the
-/// future — are parked in a time-indexed hold queue instead of the ready list,
-/// so the per-cycle issue scan never revisits instructions that provably cannot
-/// issue yet. The driver calls [`Self::release_due`] at the top of each issue
-/// scan to move entries whose cycle has come into the ready list.
+/// future — are parked in a time-indexed hold queue, so the per-cycle issue
+/// scan never revisits instructions that provably cannot issue yet.
+///
+/// Released entries wait in one of six lanes — loads, stores, integer
+/// ALU/control, integer multiply/divide, FP add, FP multiply/divide — each
+/// sorted by sequence number. An issue scan ([`Self::begin_scan`],
+/// [`Self::next_issue`], [`Self::end_scan`]) repeatedly takes the oldest head
+/// across the open lanes, so entries issue in program order. A lane closes for
+/// the rest of the cycle only for a reason that holds for every younger entry
+/// in it too, so closing never skips an entry that could issue:
+///
+/// * **its port kind is full** — every entry of a lane uses the same
+///   functional-unit kind, and ports only fill up within a cycle;
+/// * **its head is not yet visible** across the dual-clock window —
+///   `visible_at_ps` is set at dispatch and never decreases in dispatch
+///   order, so every younger entry of the lane is invisible too;
+/// * **the load lane's head is younger than the oldest unresolved store** —
+///   every younger load is blocked by the same store, and that store cannot
+///   issue later in this scan: it is older than the head, so it has either
+///   had its turn already or sits in a lane that is itself closed for the
+///   cycle. A store that issues earlier in the scan resolves before the load
+///   head is looked at, so it unblocks younger loads in the same cycle.
+///
+/// A lane advances only past entries it issues, so the scan ends by draining
+/// each lane's issued prefix.
 #[derive(Debug, Clone)]
 pub struct IssueScheduler {
     /// Per-physical-register list of waiting consumer sequence numbers.
     /// Squashed consumers are left in place and skipped lazily on wake (their
     /// sequence numbers are never reused, so a stale entry can only miss).
     waiters: Vec<Vec<u64>>,
-    /// Sequence numbers with `pending_srcs == 0` whose `ready_cycle` has been
-    /// reached, sorted ascending (= program order, the order the original
-    /// kernel scanned the Issue Window in).
-    ready: Vec<u64>,
+    /// Released entries (`pending_srcs == 0`, `ready_cycle` reached), one
+    /// list per lane, each sorted ascending by sequence number.
+    lanes: [Vec<u64>; LANES],
+    /// Per lane, how many entries the current scan has issued (a prefix).
+    issued: [usize; LANES],
+    /// Bit `l` is set while lane `l` may still issue in the current scan.
+    open: u8,
+    /// The back-end cycle of the current scan.
+    scan_cycle: u64,
     /// Entries with `pending_srcs == 0` waiting for their operands to arrive,
     /// as `(ready_cycle + wakeup_extra, seq)`. Squashed entries are skipped
     /// lazily on release.
@@ -317,8 +372,8 @@ pub struct IssueScheduler {
     /// Extra wake-up latency in cycles (1 with pipelined Wake-up/Select, else
     /// 0), folded into the hold deadline.
     wakeup_extra: u64,
-    /// Wakeups deferred while the ready list is being scanned
-    /// ([`Self::defer_wake`] / [`Self::drain_wakes`]).
+    /// Wakeups deferred while a scan is in progress ([`Self::defer_wake`] /
+    /// [`Self::drain_wakes`]).
     deferred: Vec<(PhysReg, u64)>,
 }
 
@@ -329,7 +384,10 @@ impl IssueScheduler {
     pub fn new(phys_regs: usize, wakeup_extra: u64) -> Self {
         IssueScheduler {
             waiters: vec![Vec::new(); phys_regs],
-            ready: Vec::new(),
+            lanes: Default::default(),
+            issued: [0; LANES],
+            open: 0,
+            scan_cycle: 0,
             held: BinaryHeap::new(),
             wakeup_extra,
             deferred: Vec::new(),
@@ -339,7 +397,7 @@ impl IssueScheduler {
     /// Registers a freshly dispatched entry: counts outstanding producers,
     /// records the ready cycle contributed by already-issued ones, and either
     /// parks the entry on the wakeup lists or queues it in the hold queue (from
-    /// where [`Self::release_due`] moves it to the ready list once its operands
+    /// where [`Self::begin_scan`] releases it into its lane once its operands
     /// arrive).
     pub fn on_dispatch(&mut self, table: &mut InflightTable, seq: u64, prf: &PhysRegFile) {
         let entry = &mut table[seq];
@@ -364,11 +422,96 @@ impl IssueScheduler {
         }
     }
 
+    /// Starts the issue scan of back-end cycle `cycle`: releases every held
+    /// entry whose operands have arrived into its lane and opens every
+    /// non-empty lane.
+    pub fn begin_scan(&mut self, table: &InflightTable, cycle: u64) {
+        self.release_due(table, cycle);
+        self.scan_cycle = cycle;
+        self.open = 0;
+        for (l, lane) in self.lanes.iter().enumerate() {
+            if !lane.is_empty() {
+                self.open |= 1 << l;
+            }
+        }
+    }
+
+    /// The next entry the current scan issues — the oldest lane head that can
+    /// issue at back-end time `now` — or `None` once every lane is closed.
+    ///
+    /// The caller must issue the returned entry before asking again: claim its
+    /// port in `fus` and, for a store, resolve it in `stores`.
+    pub fn next_issue(
+        &mut self,
+        table: &InflightTable,
+        fus: &FunctionalUnits,
+        stores: &StoreIndex,
+        now: u64,
+    ) -> Option<u64> {
+        loop {
+            let mut best: Option<(u64, usize)> = None;
+            let mut open = self.open;
+            while open != 0 {
+                let l = open.trailing_zeros() as usize;
+                open &= open - 1;
+                let seq = self.lanes[l][self.issued[l]];
+                if best.is_none_or(|(s, _)| seq < s) {
+                    best = Some((seq, l));
+                }
+            }
+            let (seq, l) = best?;
+            let e = &table[seq];
+            debug_assert!(
+                e.ready_cycle.saturating_add(self.wakeup_extra) <= self.scan_cycle,
+                "released entry {seq} issues before its operands arrive"
+            );
+            if e.visible_at_ps > now
+                || !fus.can_issue(e.d.stat.op())
+                || (l == LOAD_LANE && stores.blocks_load(seq))
+            {
+                self.open &= !(1 << l);
+                continue;
+            }
+            self.issued[l] += 1;
+            if self.issued[l] == self.lanes[l].len() {
+                self.open &= !(1 << l);
+            }
+            return Some(seq);
+        }
+    }
+
+    /// Ends the current scan: drops every issued entry from its lane and
+    /// applies the wakeups deferred during the scan.
+    pub fn end_scan(&mut self, table: &mut InflightTable) {
+        for (lane, issued) in self.lanes.iter_mut().zip(&mut self.issued) {
+            lane.drain(..*issued);
+            *issued = 0;
+        }
+        self.open = 0;
+        self.drain_wakes(table);
+    }
+
+    /// The earliest `visible_at_ps` among the lane heads that can issue once
+    /// visible, or `None` if no released entry can. Outside a scan every lane
+    /// entry's operands have already arrived, and within a lane visibility
+    /// never decreases, so only the heads matter. A load head behind an older
+    /// unresolved store is skipped with its whole lane: that store wakes the
+    /// machine through its own events (it is dispatched, woken or completing).
+    pub fn earliest_visible_ps(&self, table: &InflightTable, stores: &StoreIndex) -> Option<u64> {
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(l, lane)| {
+                let &seq = lane.first()?;
+                (l != LOAD_LANE || !stores.blocks_load(seq)).then(|| table[seq].visible_at_ps)
+            })
+            .min()
+    }
+
     /// Moves every held entry whose operand-arrival cycle has been reached into
-    /// the ready list. Must run before each issue scan. Stale hold entries
-    /// (squashed or re-dispatched instructions) are validated against the live
-    /// table and dropped.
-    pub fn release_due(&mut self, table: &InflightTable, cycle: u64) {
+    /// its lane. Stale hold entries (squashed or re-dispatched instructions)
+    /// are validated against the live table and dropped.
+    fn release_due(&mut self, table: &InflightTable, cycle: u64) {
         while let Some(&Reverse((due, seq))) = self.held.peek() {
             if due > cycle {
                 break;
@@ -386,7 +529,16 @@ impl IssueScheduler {
             {
                 continue;
             }
-            self.push_ready(seq);
+            let lane = &mut self.lanes[lane_of(entry.d.stat.op())];
+            // Duplicate hold entries can survive a squash + re-dispatch race
+            // with a coinciding deadline; inserting once keeps the lane a set.
+            if let Err(pos) = lane.binary_search(&seq) {
+                lane.insert(pos, seq);
+                debug_assert!(
+                    lane_is_visibility_ordered(lane, pos, table),
+                    "visible_at decreases within an issue lane at seq {seq}"
+                );
+            }
         }
     }
 
@@ -399,15 +551,14 @@ impl IssueScheduler {
     /// Records a wakeup of `reg`'s consumers to be applied by
     /// [`Self::drain_wakes`] once the current issue scan ends. Woken consumers
     /// could not issue in the same cycle anyway (the value arrives at
-    /// `ready_cycle`, which is in the future), and deferring keeps the ready
-    /// list stable while the pipeline iterates it.
+    /// `ready_cycle`, which is in the future), and deferring keeps the lanes
+    /// stable while the pipeline scans them.
     pub fn defer_wake(&mut self, reg: PhysReg, ready_cycle: u64) {
         self.deferred.push((reg, ready_cycle));
     }
 
-    /// Applies every wakeup deferred during the issue scan. Must be called at
-    /// the end of any scan that issues instructions (both kernels do so at the
-    /// end of their issue stages).
+    /// Applies every deferred wakeup. [`Self::end_scan`] calls it; a kernel
+    /// that issues outside a scan (trace replay) calls it directly.
     pub fn drain_wakes(&mut self, table: &mut InflightTable) {
         let mut i = 0;
         while i < self.deferred.len() {
@@ -444,45 +595,23 @@ impl IssueScheduler {
         self.waiters[reg as usize] = waiters;
     }
 
-    fn push_ready(&mut self, seq: u64) {
-        // Duplicate hold entries can survive a squash + re-dispatch race with a
-        // coinciding deadline; inserting once keeps the list a set.
-        if let Err(pos) = self.ready.binary_search(&seq) {
-            self.ready.insert(pos, seq);
-        }
-    }
-
-    /// Number of ready (woken) entries.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
-    /// The `i`-th ready sequence number in program order.
-    pub fn ready_seq(&self, i: usize) -> u64 {
-        self.ready[i]
-    }
-
-    /// Removes issued entries from the ready list. `issued` must be sorted
-    /// ascending (it is collected in scan order).
-    pub fn remove_issued(&mut self, issued: &[u64]) {
-        if issued.is_empty() {
-            return;
-        }
-        let mut k = 0;
-        self.ready.retain(|&seq| {
-            while k < issued.len() && issued[k] < seq {
-                k += 1;
-            }
-            !(k < issued.len() && issued[k] == seq)
-        });
-    }
-
-    /// Drops every ready entry younger than `branch_seq` (mispredict recovery).
-    /// Stale wakeup registrations are skipped lazily.
+    /// Drops every released entry younger than `branch_seq` from every lane
+    /// (mispredict recovery). Stale wakeup registrations are skipped lazily.
     pub fn squash_after(&mut self, branch_seq: u64) {
-        let cut = self.ready.partition_point(|&seq| seq <= branch_seq);
-        self.ready.truncate(cut);
+        debug_assert_eq!(self.issued, [0; LANES], "squash inside an issue scan");
+        for lane in &mut self.lanes {
+            let cut = lane.partition_point(|&seq| seq <= branch_seq);
+            lane.truncate(cut);
+        }
     }
+}
+
+/// Whether the entry just inserted at `pos` keeps `visible_at_ps`
+/// non-decreasing along `lane` (the invariant the visibility closing rule of
+/// [`IssueScheduler::next_issue`] relies on).
+fn lane_is_visibility_ordered(lane: &[u64], pos: usize, table: &InflightTable) -> bool {
+    let v = |i: usize| table[lane[i]].visible_at_ps;
+    (pos == 0 || v(pos - 1) <= v(pos)) && (pos + 1 == lane.len() || v(pos) <= v(pos + 1))
 }
 
 /// Time-indexed queue of executing instructions, replacing the per-cycle scan
@@ -707,11 +836,70 @@ mod tests {
         assert!(t.contains(40));
     }
 
+    /// A dispatched entry of class `stat` with no pending sources, released
+    /// into its lane at the next scan.
+    fn dispatch_ready(
+        t: &mut InflightTable,
+        sched: &mut IssueScheduler,
+        prf: &PhysRegFile,
+        seq: u64,
+        stat: StaticInst,
+        visible_at_ps: u64,
+    ) {
+        let mut e = entry(seq);
+        e.d.stat = stat;
+        e.state = EntryState::Waiting;
+        e.in_iw = true;
+        e.visible_at_ps = visible_at_ps;
+        t.insert(e);
+        sched.on_dispatch(t, seq, prf);
+    }
+
+    /// Every released entry, in program order.
+    fn released(sched: &IssueScheduler) -> Vec<u64> {
+        let mut all: Vec<u64> = sched.lanes.iter().flatten().copied().collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// Runs one scan the way both kernels do, issuing everything the scan
+    /// offers (claiming ports and resolving stores), and returns the issued
+    /// sequence numbers in order.
+    fn scan(
+        sched: &mut IssueScheduler,
+        t: &mut InflightTable,
+        fus: &mut FunctionalUnits,
+        stores: &mut StoreIndex,
+        cycle: u64,
+        now: u64,
+    ) -> Vec<u64> {
+        fus.begin_cycle();
+        sched.begin_scan(t, cycle);
+        let mut issued = Vec::new();
+        while let Some(seq) = sched.next_issue(t, fus, stores, now) {
+            let op = t[seq].d.stat.op();
+            assert!(fus.try_issue(op));
+            t[seq].state = EntryState::Issued;
+            t[seq].in_iw = false;
+            if op == OpClass::Store {
+                stores.on_store_issue(seq, 0);
+            }
+            issued.push(seq);
+        }
+        sched.end_scan(t);
+        issued
+    }
+
     #[test]
     fn scheduler_wakes_consumers_in_program_order() {
         let mut t = InflightTable::with_capacity(16);
         let mut prf = PhysRegFile::new(8);
         let mut sched = IssueScheduler::new(8, 0);
+        let mut fus = FunctionalUnits::new(crate::FuConfig {
+            int_alu: 2,
+            ..crate::FuConfig::paper()
+        });
+        let mut stores = StoreIndex::new();
         prf.mark_pending(3);
         for seq in [5u64, 6, 7] {
             let mut e = entry(seq);
@@ -721,25 +909,238 @@ mod tests {
             t.insert(e);
             sched.on_dispatch(&mut t, seq, &prf);
         }
-        assert_eq!(sched.ready_len(), 0, "all parked on the pending producer");
+        sched.begin_scan(&t, 100);
+        assert!(
+            released(&sched).is_empty(),
+            "all parked on the pending producer"
+        );
+        sched.end_scan(&mut t);
         prf.mark_ready(3, 17);
         sched.defer_wake(3, 17);
         sched.drain_wakes(&mut t);
         // The woken consumers wait in the hold queue until their operand
-        // arrives at cycle 17; releasing earlier surfaces nothing.
+        // arrives at cycle 17; scanning earlier surfaces nothing.
         assert_eq!(sched.next_due(), Some(17));
-        sched.release_due(&t, 16);
-        assert_eq!(sched.ready_len(), 0, "operands arrive at cycle 17");
-        sched.release_due(&t, 17);
-        assert_eq!(sched.ready_len(), 3);
-        assert_eq!(
-            (0..3).map(|i| sched.ready_seq(i)).collect::<Vec<_>>(),
-            vec![5, 6, 7]
-        );
+        assert!(scan(&mut sched, &mut t, &mut fus, &mut stores, 16, 0).is_empty());
         assert_eq!(t[5].ready_cycle, 17);
-        sched.remove_issued(&[5, 7]);
-        assert_eq!(sched.ready_len(), 1);
-        assert_eq!(sched.ready_seq(0), 6);
+        // Two integer ALUs: the two oldest issue, the youngest stays at the
+        // head of its lane for the next cycle.
+        assert_eq!(
+            scan(&mut sched, &mut t, &mut fus, &mut stores, 17, 0),
+            vec![5, 6]
+        );
+        assert_eq!(released(&sched), vec![7]);
+        assert_eq!(
+            scan(&mut sched, &mut t, &mut fus, &mut stores, 18, 0),
+            vec![7]
+        );
+        assert!(released(&sched).is_empty());
+    }
+
+    #[test]
+    fn a_store_issued_earlier_in_the_scan_unblocks_a_younger_load() {
+        let mut t = InflightTable::with_capacity(16);
+        let prf = PhysRegFile::new(8);
+        let mut sched = IssueScheduler::new(8, 0);
+        let mut fus = FunctionalUnits::new(crate::FuConfig::paper());
+        let mut stores = StoreIndex::new();
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        dispatch_ready(&mut t, &mut sched, &prf, 4, StaticInst::store(r1, r2), 0);
+        stores.on_dispatch_store(4);
+        dispatch_ready(&mut t, &mut sched, &prf, 5, StaticInst::load(r1, r2), 0);
+        assert!(stores.blocks_load(5));
+        assert_eq!(
+            scan(&mut sched, &mut t, &mut fus, &mut stores, 1, 0),
+            vec![4, 5],
+            "the store resolves before the load head is looked at"
+        );
+    }
+
+    #[test]
+    fn an_unresolved_older_store_closes_only_the_load_lane() {
+        let mut t = InflightTable::with_capacity(16);
+        let prf = PhysRegFile::new(8);
+        let mut sched = IssueScheduler::new(8, 0);
+        let mut fus = FunctionalUnits::new(crate::FuConfig::paper());
+        let mut stores = StoreIndex::new();
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        // Store 2 never becomes ready this cycle (it is not released).
+        stores.on_dispatch_store(2);
+        dispatch_ready(&mut t, &mut sched, &prf, 3, StaticInst::load(r1, r2), 0);
+        dispatch_ready(&mut t, &mut sched, &prf, 4, StaticInst::load(r1, r2), 0);
+        dispatch_ready(
+            &mut t,
+            &mut sched,
+            &prf,
+            5,
+            StaticInst::alu(r1, r2, None),
+            0,
+        );
+        assert_eq!(
+            scan(&mut sched, &mut t, &mut fus, &mut stores, 1, 0),
+            vec![5]
+        );
+        assert_eq!(released(&sched), vec![3, 4]);
+        assert_eq!(sched.earliest_visible_ps(&t, &stores), None);
+        stores.on_store_issue(2, 0);
+        assert_eq!(sched.earliest_visible_ps(&t, &stores), Some(0));
+        assert_eq!(
+            scan(&mut sched, &mut t, &mut fus, &mut stores, 2, 0),
+            vec![3, 4]
+        );
+    }
+
+    #[test]
+    fn a_full_port_closes_its_own_lane_without_skipping_older_entries_elsewhere() {
+        let mut t = InflightTable::with_capacity(16);
+        let prf = PhysRegFile::new(8);
+        let mut sched = IssueScheduler::new(8, 0);
+        let mut fus = FunctionalUnits::new(crate::FuConfig::paper());
+        let mut stores = StoreIndex::new();
+        let (f1, f2) = (ArchReg::fp(1), ArchReg::fp(2));
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        let fmul = StaticInst::compute(OpClass::FpMul, f1, f2, None);
+        // One FP multiply/divide unit: 10 issues, 11 and 13 wait; the ALU op
+        // 12, older than 13, still issues in program order.
+        dispatch_ready(&mut t, &mut sched, &prf, 10, fmul, 0);
+        dispatch_ready(&mut t, &mut sched, &prf, 11, fmul, 0);
+        dispatch_ready(
+            &mut t,
+            &mut sched,
+            &prf,
+            12,
+            StaticInst::alu(r1, r2, None),
+            0,
+        );
+        dispatch_ready(&mut t, &mut sched, &prf, 13, fmul, 0);
+        dispatch_ready(
+            &mut t,
+            &mut sched,
+            &prf,
+            14,
+            StaticInst::alu(r1, r2, None),
+            0,
+        );
+        assert_eq!(
+            scan(&mut sched, &mut t, &mut fus, &mut stores, 1, 0),
+            vec![10, 12, 14]
+        );
+        assert_eq!(released(&sched), vec![11, 13]);
+        assert_eq!(
+            scan(&mut sched, &mut t, &mut fus, &mut stores, 2, 0),
+            vec![11]
+        );
+    }
+
+    #[test]
+    fn a_head_not_yet_visible_closes_only_its_own_lane() {
+        let mut t = InflightTable::with_capacity(16);
+        let prf = PhysRegFile::new(8);
+        let mut sched = IssueScheduler::new(8, 0);
+        let mut fus = FunctionalUnits::new(crate::FuConfig::paper());
+        let mut stores = StoreIndex::new();
+        let (f1, f2) = (ArchReg::fp(1), ArchReg::fp(2));
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        let fadd = StaticInst::compute(OpClass::FpAdd, f1, f2, None);
+        dispatch_ready(&mut t, &mut sched, &prf, 20, fadd, 500);
+        dispatch_ready(
+            &mut t,
+            &mut sched,
+            &prf,
+            21,
+            StaticInst::alu(r1, r2, None),
+            400,
+        );
+        dispatch_ready(&mut t, &mut sched, &prf, 22, fadd, 600);
+        assert_eq!(
+            sched.earliest_visible_ps(&t, &stores),
+            None,
+            "nothing released yet"
+        );
+        sched.begin_scan(&t, 1);
+        sched.end_scan(&mut t);
+        assert_eq!(sched.earliest_visible_ps(&t, &stores), Some(400));
+        assert_eq!(
+            scan(&mut sched, &mut t, &mut fus, &mut stores, 1, 450),
+            vec![21]
+        );
+        assert_eq!(sched.earliest_visible_ps(&t, &stores), Some(500));
+        assert_eq!(
+            scan(&mut sched, &mut t, &mut fus, &mut stores, 2, 600),
+            vec![20, 22]
+        );
+    }
+
+    #[test]
+    fn squash_after_truncates_every_lane() {
+        let mut t = InflightTable::with_capacity(16);
+        let prf = PhysRegFile::new(8);
+        let mut sched = IssueScheduler::new(8, 0);
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        let (f1, f2) = (ArchReg::fp(1), ArchReg::fp(2));
+        let kinds = [
+            StaticInst::load(r1, r2),
+            StaticInst::store(r1, r2),
+            StaticInst::alu(r1, r2, None),
+            StaticInst::compute(OpClass::IntMul, r1, r2, None),
+            StaticInst::compute(OpClass::FpAdd, f1, f2, None),
+            StaticInst::compute(OpClass::FpDiv, f1, f2, None),
+        ];
+        for (i, &stat) in kinds.iter().chain(&kinds).enumerate() {
+            dispatch_ready(&mut t, &mut sched, &prf, i as u64, stat, 0);
+        }
+        sched.begin_scan(&t, 1);
+        sched.end_scan(&mut t);
+        assert!(sched.lanes.iter().all(|lane| lane.len() == 2));
+        sched.squash_after(5);
+        assert!(sched.lanes.iter().all(|lane| lane.len() == 1));
+        assert_eq!(released(&sched), (0..6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn every_lane_maps_onto_one_port_kind() {
+        let ops = [
+            OpClass::IntAlu,
+            OpClass::IntMul,
+            OpClass::IntDiv,
+            OpClass::Load,
+            OpClass::Store,
+            OpClass::FpAdd,
+            OpClass::FpMul,
+            OpClass::FpDiv,
+            OpClass::Ctrl,
+            OpClass::Nop,
+        ];
+        for a in ops {
+            for b in ops {
+                if lane_of(a) == lane_of(b) {
+                    assert_eq!(a.fu_kind(), b.fu_kind(), "{a:?} and {b:?} share a lane");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_duplicate_hold_queue_release_lands_once() {
+        let mut t = InflightTable::with_capacity(16);
+        let prf = PhysRegFile::new(8);
+        let mut sched = IssueScheduler::new(8, 0);
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        dispatch_ready(
+            &mut t,
+            &mut sched,
+            &prf,
+            9,
+            StaticInst::alu(r1, r2, None),
+            0,
+        );
+        // A re-dispatch with the same schedule queues a second, identical
+        // hold entry.
+        sched.on_dispatch(&mut t, 9, &prf);
+        sched.begin_scan(&t, 3);
+        sched.end_scan(&mut t);
+        assert_eq!(released(&sched), vec![9]);
+        assert_eq!(sched.next_due(), None);
     }
 
     #[test]
@@ -757,10 +1158,14 @@ mod tests {
         prf.mark_ready(2, 10);
         sched.defer_wake(2, 10);
         sched.drain_wakes(&mut t);
-        sched.release_due(&t, 10);
-        assert_eq!(sched.ready_len(), 0, "pipelined wakeup adds one cycle");
-        sched.release_due(&t, 11);
-        assert_eq!(sched.ready_len(), 1);
+        sched.begin_scan(&t, 10);
+        assert!(
+            released(&sched).is_empty(),
+            "pipelined wakeup adds one cycle"
+        );
+        sched.end_scan(&mut t);
+        sched.begin_scan(&t, 11);
+        assert_eq!(released(&sched), vec![4]);
     }
 
     #[test]
@@ -776,14 +1181,15 @@ mod tests {
         e.rename.srcs = [1].into_iter().collect();
         t.insert(e);
         sched.on_dispatch(&mut t, 8, &prf_pending);
-        // Ready entries younger than the branch disappear; the parked waiter is
-        // squashed from the table and must be skipped on wake and on release.
+        // Released entries younger than the branch disappear; the parked
+        // waiter is squashed from the table and must be skipped on wake and
+        // on release.
         sched.squash_after(7);
         t.remove(8);
         sched.defer_wake(1, 9);
         sched.drain_wakes(&mut t);
-        sched.release_due(&t, 100);
-        assert_eq!(sched.ready_len(), 0);
+        sched.begin_scan(&t, 100);
+        assert!(released(&sched).is_empty());
     }
 
     #[test]

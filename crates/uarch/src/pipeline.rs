@@ -27,12 +27,16 @@ use std::collections::VecDeque;
 /// Wattch-style energy breakdown.
 ///
 /// The per-cycle hot loop is allocation-free and event-indexed: in-flight
-/// instructions live in a slab-indexed [`InflightTable`], issue scans only the
-/// woken entries of the [`IssueScheduler`] ready list whose operands have
-/// arrived, executing instructions wait in a [`CompletionQueue`] keyed by
-/// completion cycle, load/store ordering checks go through the [`StoreIndex`]
-/// instead of walking the LSQ, and provably idle stretches (memory stalls) are
-/// fast-forwarded in bulk — all bit-identical to single-stepped execution.
+/// instructions live in a slab-indexed [`InflightTable`]; issue visits only
+/// entries whose operands have arrived, oldest first across the six per-port
+/// lanes of the [`IssueScheduler`], and stops looking at a lane once its head
+/// cannot issue this cycle for a reason every younger entry of the lane shares
+/// (a full port, a head not yet visible across the dual-clock window, or a
+/// load head behind an older unresolved store); executing instructions wait
+/// in a [`CompletionQueue`] keyed by completion cycle; load/store ordering
+/// checks go through the [`StoreIndex`] instead of walking the LSQ; and
+/// provably idle stretches (memory stalls) are fast-forwarded in bulk — all
+/// bit-identical to single-stepped execution.
 ///
 /// ```
 /// use flywheel_uarch::{BaselineConfig, BaselineSim, SimBudget};
@@ -75,7 +79,6 @@ pub struct BaselineSim<I: Iterator<Item = DynInst>> {
 
     // Persistent scratch buffers (reused every cycle; never allocated in the loop).
     finished_scratch: Vec<(u64, u64)>,
-    issued_scratch: Vec<u64>,
 
     // Fetch state.
     fetch_blocked_on_branch: Option<u64>,
@@ -155,7 +158,6 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
             ),
             stores: StoreIndex::new(),
             finished_scratch: Vec::new(),
-            issued_scratch: Vec::new(),
             fetch_blocked_on_branch: None,
             fetch_resume_at_ps: 0,
             fe_period_ps,
@@ -308,19 +310,10 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
         if let Some(c) = self.sched.next_due() {
             t = t.min(self.be_cycle_time_ps(c));
         }
-        let wakeup_extra = if self.cfg.pipelined_wakeup { 1 } else { 0 };
-        for i in 0..self.sched.ready_len() {
-            let seq = self.sched.ready_seq(i);
-            let Some(e) = self.inflight.get(seq) else {
-                continue;
-            };
-            // A load behind an older unresolved store wakes through that
-            // store's own events (it is dispatched, woken or completing).
-            if e.d.stat.op() == OpClass::Load && self.stores.blocks_load(seq) {
-                continue;
-            }
-            let arrive = self.be_cycle_time_ps(e.ready_cycle.saturating_add(wakeup_extra));
-            t = t.min(arrive.max(self.be_edge_at_or_after(e.visible_at_ps)));
+        // Released entries' operands have already arrived, so only their
+        // visibility across the dual-clock window bounds them.
+        if let Some(v) = self.sched.earliest_visible_ps(&self.inflight, &self.stores) {
+            t = t.min(self.be_edge_at_or_after(v));
         }
         // Dispatch of the front-end queue head.
         if let Some(&head) = self.frontend_q.front() {
@@ -727,42 +720,22 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
 
     fn issue(&mut self, now: u64) {
         let cycle = self.be_cycles;
-        let wakeup_extra = if self.cfg.pipelined_wakeup { 1 } else { 0 };
         let mut issued_count = 0;
-        self.issued_scratch.clear();
-        self.sched.release_due(&self.inflight, cycle);
+        self.sched.begin_scan(&self.inflight, cycle);
 
-        // Scan only woken entries whose operands have arrived (all sources
-        // produced and their values due), in program order — the same order the
-        // original kernel walked the whole Issue Window in.
-        for i in 0..self.sched.ready_len() {
-            if issued_count >= self.cfg.issue_width {
+        // Issue released entries (operands arrived) in program order; the
+        // scan skips lanes whose head cannot issue this cycle.
+        while issued_count < self.cfg.issue_width {
+            let Some(seq) = self
+                .sched
+                .next_issue(&self.inflight, &self.fus, &self.stores, now)
+            else {
                 break;
-            }
-            let seq = self.sched.ready_seq(i);
-            let (op, srcs_len, visible_at, ready_cycle, mem_addr) = {
-                let e = &self.inflight[seq];
-                (
-                    e.d.stat.op(),
-                    e.rename.srcs.len(),
-                    e.visible_at_ps,
-                    e.ready_cycle,
-                    e.d.mem.map(|m| m.addr),
-                )
             };
-            if visible_at > now {
-                continue;
-            }
-            if ready_cycle.saturating_add(wakeup_extra) > cycle {
-                continue;
-            }
-            if !self.fus.can_issue(op) {
-                continue;
-            }
-            if op == OpClass::Load && self.stores.blocks_load(seq) {
-                continue;
-            }
-            // Issue it.
+            let (op, srcs_len, mem_addr) = {
+                let e = &self.inflight[seq];
+                (e.d.stat.op(), e.rename.srcs.len(), e.d.mem.map(|m| m.addr))
+            };
             assert!(self.fus.try_issue(op));
             let exec_cycles = self.execution_latency(seq, op, mem_addr);
             let wakeup_ready = cycle + exec_cycles;
@@ -788,14 +761,12 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
                     self.stores.on_store_issue(seq, addr & !63);
                 }
             }
-            self.issued_scratch.push(seq);
             issued_count += 1;
         }
         if issued_count > 0 {
             self.tick_activity = true;
         }
-        self.sched.remove_issued(&self.issued_scratch);
-        self.sched.drain_wakes(&mut self.inflight);
+        self.sched.end_scan(&mut self.inflight);
     }
 
     fn fu_energy_unit(&self, op: OpClass) -> Unit {
