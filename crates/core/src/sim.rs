@@ -7,7 +7,7 @@ use crate::stats::{FlywheelResult, FlywheelStats};
 use flywheel_isa::{DynInst, OpClass, Pc};
 use flywheel_power::{EnergyAccumulator, MachineKind, PowerModel, Unit};
 use flywheel_uarch::{
-    AccessOutcome, BpredStats, CompletionQueue, EntryState, GsharePredictor, HierarchyStats,
+    AccessOutcome, BpredStats, Calendar, EntryState, GsharePredictor, HierarchyStats,
     InflightEntry, InflightTable, IssueScheduler, MemoryHierarchy, PhysRegFile, SimBudget,
     SimResult, StoreIndex,
 };
@@ -107,8 +107,8 @@ pub struct FlywheelSim<I: Iterator<Item = DynInst>> {
     iw_len: usize,
     lsq: VecDeque<u64>,
     /// Executing instructions keyed by completion cycle; stale (squashed)
-    /// entries are validated out on pop.
-    completions: CompletionQueue,
+    /// entries are validated out when drained.
+    completions: Calendar,
     sched: IssueScheduler,
     stores: StoreIndex,
 
@@ -213,7 +213,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             rob: VecDeque::new(),
             iw_len: 0,
             lsq: VecDeque::new(),
-            completions: CompletionQueue::new(),
+            completions: Calendar::new(),
             sched: IssueScheduler::new(
                 cfg.pools.total_phys_regs as usize,
                 if cfg.base.pipelined_wakeup { 1 } else { 0 },
@@ -939,20 +939,20 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
 
     fn complete(&mut self, now: u64) {
         let cycle = self.be_cycles;
-        // Drain the due prefix of the completion queue; the per-cycle cost when
-        // nothing finishes (the common case during a memory stall) is one peek.
+        // Drain the due completions; the per-cycle cost when nothing finishes
+        // (the common case during a memory stall) is one bitmap test.
         self.finished_scratch.clear();
-        while let Some((at, seq)) = self.completions.pop_due(cycle) {
-            self.finished_scratch.push((seq, at));
-        }
+        self.completions
+            .drain_due(cycle, &mut self.finished_scratch);
         if self.finished_scratch.is_empty() {
             return;
         }
         self.tick_activity = true;
         // Process in program order, as the original executing-list scan did.
-        self.finished_scratch.sort_unstable();
+        self.finished_scratch
+            .sort_unstable_by_key(|&(at, seq)| (seq, at));
         for i in 0..self.finished_scratch.len() {
-            let (seq, at) = self.finished_scratch[i];
+            let (at, seq) = self.finished_scratch[i];
             // An earlier completion in this very cycle may have squashed this
             // entry during mispredict recovery, and a squashed + re-issued
             // instruction (trace-replay hand-backs re-fetch the same sequence
@@ -1097,7 +1097,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
     fn issue_creation(&mut self, now: u64) {
         let cycle = self.be_cycles;
         let mut issued_count = 0;
-        self.sched.begin_scan(&self.inflight, cycle);
+        self.sched.begin_scan(&mut self.inflight, &self.prf, cycle);
 
         // Issue released entries (operands arrived) in program order; the
         // scan skips lanes whose head cannot issue this cycle.
@@ -1141,7 +1141,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
         if let Some(builder) = self.builder.as_mut() {
             builder.close_unit();
         }
-        self.sched.end_scan(&mut self.inflight);
+        self.sched.end_scan();
     }
 
     fn start_execution(&mut self, seq: u64, exec_cycles: u64) {
@@ -1155,7 +1155,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             e.in_iw = false;
             if let Some(dst) = e.rename.dst {
                 self.prf.mark_ready(dst, wakeup_ready);
-                self.sched.defer_wake(dst, wakeup_ready);
+                self.sched.on_issue(dst, wakeup_ready);
             }
             (e.d.stat.op(), e.d.mem.map(|m| m.addr & !63))
         };
@@ -1219,7 +1219,6 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
                     for idx in group {
                         self.issue_replay_inst(&mut replay, idx);
                     }
-                    self.sched.drain_wakes(&mut self.inflight);
                     replay.next_idx = end;
                 } else if !group.is_empty() && self.rob.is_empty() && self.iw_len == 0 {
                     self.tick_activity = true;

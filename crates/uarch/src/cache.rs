@@ -5,68 +5,91 @@ use crate::config::{BaselineConfig, CacheConfig};
 /// A set-associative cache with LRU replacement.
 ///
 /// Only tags are tracked (the simulator is trace driven and never needs data).
+/// Tags and LRU stamps live in two flat arrays indexed `set * assoc + way`, and
+/// the line, set and tag of an address come from shifts and masks (the
+/// geometry is a power-of-two set count of power-of-two lines, see
+/// [`CacheConfig::validate`]), so an access costs no division.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `tags[set][way]` — `None` means invalid.
-    tags: Vec<Vec<Option<u64>>>,
+    /// `tags[set * assoc + way]` — [`INVALID`] marks an empty way.
+    tags: Vec<u64>,
     /// LRU stamps parallel to `tags`.
-    stamps: Vec<Vec<u64>>,
+    stamps: Vec<u64>,
+    assoc: usize,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// log2 of the set count.
+    set_bits: u32,
     stamp: u64,
     accesses: u64,
     misses: u64,
 }
 
+/// Tag of an invalid way. Real tags are addresses shifted right by at least
+/// one line-offset bit, so they never reach it.
+const INVALID: u64 = u64::MAX;
+
 impl Cache {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry fails [`CacheConfig::validate`].
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = cfg.sets();
+        assert!(cfg.validate().is_ok(), "cache geometry {cfg:?}");
+        let (sets, assoc) = (cfg.sets(), cfg.assoc as usize);
         Cache {
             cfg,
-            tags: vec![vec![None; cfg.assoc as usize]; sets],
-            stamps: vec![vec![0; cfg.assoc as usize]; sets],
+            tags: vec![INVALID; sets * assoc],
+            stamps: vec![0; sets * assoc],
+            assoc,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             stamp: 0,
             accesses: 0,
             misses: 0,
         }
     }
 
-    fn index_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes as u64;
-        let set = (line % self.tags.len() as u64) as usize;
-        let tag = line / self.tags.len() as u64;
-        (set, tag)
+    /// The ways of `addr`'s set, as a range of `tags`/`stamps`, and its tag.
+    fn ways_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let line = addr >> self.line_shift;
+        let set = (line & ((1 << self.set_bits) - 1)) as usize;
+        let first = set * self.assoc;
+        (first..first + self.assoc, line >> self.set_bits)
     }
 
     /// Accesses `addr`, allocating the line on a miss. Returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.stamp += 1;
         self.accesses += 1;
-        let (set, tag) = self.index_and_tag(addr);
-        let ways = &mut self.tags[set];
-        if let Some(way) = ways.iter().position(|t| *t == Some(tag)) {
-            self.stamps[set][way] = self.stamp;
+        let (ways, tag) = self.ways_and_tag(addr);
+        let first = ways.start;
+        let tags = &mut self.tags[ways.clone()];
+        if let Some(way) = tags.iter().position(|&t| t == tag) {
+            self.stamps[first + way] = self.stamp;
             return true;
         }
         self.misses += 1;
-        // Choose an invalid way if present, otherwise the LRU way.
-        let victim = ways.iter().position(|t| t.is_none()).unwrap_or_else(|| {
-            self.stamps[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| **s)
-                .map(|(i, _)| i)
-                .expect("cache must have at least one way")
-        });
-        self.tags[set][victim] = Some(tag);
-        self.stamps[set][victim] = self.stamp;
+        // The first way with the oldest stamp: an invalid way if present (its
+        // stamp is still 0, every filled way's is at least 1), otherwise the
+        // LRU way.
+        let victim = self.stamps[ways]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, s)| **s)
+            .map(|(i, _)| i)
+            .expect("cache must have at least one way");
+        tags[victim] = tag;
+        self.stamps[first + victim] = self.stamp;
         false
     }
 
     /// Checks whether `addr` is resident without updating any state.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.index_and_tag(addr);
-        self.tags[set].contains(&Some(tag))
+        let (ways, tag) = self.ways_and_tag(addr);
+        self.tags[ways].contains(&tag)
     }
 
     /// Total accesses so far.

@@ -34,6 +34,30 @@ impl CacheConfig {
     pub fn sets(&self) -> usize {
         (self.size_bytes / (self.assoc as u64 * self.line_bytes as u64)).max(1) as usize
     }
+
+    /// Checks that the geometry can be indexed by shift and mask: a
+    /// power-of-two line size of at least 2 B, at least one way, and a
+    /// capacity of exactly a power-of-two number of sets.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.line_bytes.is_power_of_two() || self.line_bytes < 2 {
+            return Err(format!(
+                "line size {} B is not a power of two of at least 2 B",
+                self.line_bytes
+            ));
+        }
+        if self.assoc == 0 {
+            return Err("associativity must be non-zero".into());
+        }
+        let set_bytes = self.assoc as u64 * self.line_bytes as u64;
+        let sets = self.size_bytes / set_bytes;
+        if !self.size_bytes.is_multiple_of(set_bytes) || !sets.is_power_of_two() {
+            return Err(format!(
+                "{} B / ({}-way x {} B lines) is not a power-of-two set count",
+                self.size_bytes, self.assoc, self.line_bytes
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Number of functional units of each kind (paper Table 2).
@@ -271,6 +295,15 @@ impl BaselineConfig {
         if self.front_end_stages == 0 {
             return Err("the front end must have at least one stage".into());
         }
+        for (name, cache) in [
+            ("L1 instruction", &self.icache),
+            ("L1 data", &self.dcache),
+            ("L2", &self.l2),
+        ] {
+            cache
+                .validate()
+                .map_err(|e| format!("{name} cache geometry: {e}"))?;
+        }
         Ok(())
     }
 }
@@ -399,6 +432,29 @@ mod tests {
         let mut c2 = BaselineConfig::paper_default();
         c2.front_end_stages = 0;
         assert!(c2.validate().is_err());
+    }
+
+    #[test]
+    fn cache_geometries_without_shift_mask_indexing_are_rejected() {
+        // 48 KB / (2 x 64 B) = 384 sets: not a power of two.
+        let mut c = BaselineConfig::paper_default();
+        c.dcache = CacheConfig::new(48 * 1024, 2, 64);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("L1 data cache"), "{err}");
+        // A capacity that is not a whole number of sets.
+        let mut c = BaselineConfig::paper_default();
+        c.l2 = CacheConfig::new(512 * 1024 + 64, 4, 128);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("L2 cache"), "{err}");
+        // A non-power-of-two line size (the fields are public).
+        let mut c = BaselineConfig::paper_default();
+        c.icache.line_bytes = 48;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("L1 instruction cache"), "{err}");
+        // Associativity need not be a power of two.
+        let mut c = BaselineConfig::paper_default();
+        c.l2 = CacheConfig::new(384 * 1024, 3, 128);
+        c.validate().unwrap();
     }
 
     #[test]

@@ -4,24 +4,29 @@
 //! The hot loop of a cycle-accurate simulator touches its in-flight instructions
 //! many times per cycle. The original kernels kept them in a
 //! `HashMap<u64, Entry>` and rescanned whole structures every cycle; this module
-//! replaces that with three dense, allocation-free structures:
+//! replaces that with dense, allocation-free structures:
 //!
 //! * [`InflightTable`] — a ring of entries addressed by sequence number. All
 //!   in-flight sequence numbers fall inside a window bounded by the ROB and the
 //!   front-end queue, so `seq & mask` is a perfect slot index and every lookup is
 //!   one array access instead of a hash probe.
+//! * [`Calendar`] — the one timed queue of both kernels: a 256-slot timing
+//!   wheel indexed by an occupancy bitmap, with a heap only for events 256 or
+//!   more cycles ahead. It holds instruction completions and operand
+//!   arrivals, and a cycle with nothing due costs a bitmap test.
 //! * [`IssueScheduler`] — a wakeup network plus six per-port issue lanes.
-//!   Instructions whose sources are still being produced register as waiters
-//!   on those physical registers; when a producer issues, its consumers are
-//!   woken and, once their operands arrive, released into the lane of their
-//!   port class (loads, stores, integer ALU/control, integer multiply/divide,
-//!   FP add, FP multiply/divide), each sorted by sequence number. The issue
-//!   scan repeatedly takes the oldest head across the open lanes and closes a
-//!   lane for the rest of the cycle when its head cannot issue for a reason
-//!   shared by every younger entry of the lane: a full port, a head not yet
-//!   visible across the dual-clock window, or a load head behind an older
-//!   unresolved store. Store-blocked loads and port-starved entries therefore
-//!   cost one look per cycle, not one per entry.
+//!   Instructions whose sources are still in flight park as waiters on those
+//!   physical registers; when a value arrives (an event on the scheduler's
+//!   arrival calendar), its waiters are counted off and each fully woken
+//!   consumer enters the lane of its port class (loads, stores, integer
+//!   ALU/control, integer multiply/divide, FP add, FP multiply/divide), each
+//!   sorted by sequence number. The issue scan repeatedly takes the oldest
+//!   head across the open lanes and closes a lane for the rest of the cycle
+//!   when its head cannot issue for a reason shared by every younger entry of
+//!   the lane: a full port, a head not yet visible across the dual-clock
+//!   window, or a load head behind an older unresolved store. Store-blocked
+//!   loads and port-starved entries therefore cost one look per cycle, not one
+//!   per entry.
 //! * [`StoreIndex`] — the earliest unresolved (not yet address-resolved) store
 //!   and the set of resolved stores still in the LSQ, so the "is this load
 //!   blocked by an older store" and store-to-load forwarding checks no longer
@@ -73,7 +78,8 @@ pub struct InflightEntry {
     pub complete_at: u64,
     /// Whether the branch predictor got this control instruction wrong.
     pub mispredicted: bool,
-    /// Number of source operands whose producer has not issued yet.
+    /// Number of source operands whose value has not arrived yet (the entry
+    /// waits on those registers in the [`IssueScheduler`]).
     pub pending_srcs: u8,
     /// Back-end cycle at which all known sources are available (the max of the
     /// producers' wakeup cycles seen so far; only meaningful once
@@ -318,15 +324,236 @@ fn lane_of(op: OpClass) -> usize {
     }
 }
 
+/// Slots in a [`Calendar`]'s timing wheel (a power of two).
+const WHEEL_SLOTS: usize = 256;
+
+/// A time-indexed event queue: a 256-slot timing wheel with a heap for the
+/// far future, the one timed queue both simulator kernels use (instruction
+/// completions and operand arrivals).
+///
+/// Events are `(at, key)` pairs. The wheel covers the 256 cycles from
+/// `base`, the first cycle not yet drained: an event due in that window sits
+/// in slot `at % 256`, and a 256-bit occupancy bitmap finds the due slots
+/// without visiting empty ones. An event due 256 or more cycles ahead waits in
+/// the overflow heap and moves onto the wheel once the window reaches it. An
+/// event pushed for a cycle already drained lands in the current slot but
+/// keeps its original `at`, so it is due at once.
+///
+/// A drain hands over every due event in one batch, in no particular order;
+/// callers that need an order sort the batch. Keys are opaque: stale events
+/// (for squashed instructions or reallocated registers) are the caller's to
+/// recognise and drop.
+///
+/// # Example
+///
+/// ```
+/// use flywheel_uarch::Calendar;
+///
+/// let mut cal = Calendar::new();
+/// cal.push(12, 7);
+/// cal.push(3, 9);
+/// cal.push(1_000, 1); // far ahead: waits in the overflow heap
+/// assert_eq!(cal.next_due(), Some(3));
+/// let mut due = Vec::new();
+/// cal.drain_due(12, &mut due);
+/// due.sort_unstable();
+/// assert_eq!(due, vec![(3, 9), (12, 7)]);
+/// assert_eq!(cal.next_due(), Some(1_000));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Calendar {
+    /// `slots[at % 256]` holds the events due at `at` for `at` in
+    /// `[base, base + 256)`; the slot of `base` also holds late pushes.
+    slots: Box<[Vec<(u64, u64)>]>,
+    /// Bit `i` is set while `slots[i]` is non-empty.
+    occupied: [u64; WHEEL_SLOTS / 64],
+    /// The first cycle not yet drained.
+    base: u64,
+    /// Events due at `base + 256` or later.
+    far: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Events on the wheel.
+    on_wheel: usize,
+}
+
+impl Default for Calendar {
+    fn default() -> Self {
+        Calendar::new()
+    }
+}
+
+impl Calendar {
+    /// Creates an empty calendar whose first undrained cycle is 0.
+    pub fn new() -> Self {
+        Calendar {
+            slots: vec![Vec::new(); WHEEL_SLOTS].into_boxed_slice(),
+            occupied: [0; WHEEL_SLOTS / 64],
+            base: 0,
+            far: BinaryHeap::new(),
+            on_wheel: 0,
+        }
+    }
+
+    /// Schedules `key` at cycle `at`.
+    pub fn push(&mut self, at: u64, key: u64) {
+        if at >= self.base && at - self.base >= WHEEL_SLOTS as u64 {
+            self.far.push(Reverse((at, key)));
+        } else {
+            self.put(at.max(self.base), (at, key));
+        }
+    }
+
+    /// Moves every event due at or before `cycle` into `out` (appending, in
+    /// no particular order) and advances the wheel past `cycle`.
+    pub fn drain_due(&mut self, cycle: u64, out: &mut Vec<(u64, u64)>) {
+        if cycle < self.base {
+            // Only late pushes, all in the current slot, can be due this
+            // early.
+            let idx = slot_of(self.base);
+            let slot = &mut self.slots[idx];
+            let mut i = 0;
+            while i < slot.len() {
+                if slot[i].0 <= cycle {
+                    out.push(slot.swap_remove(i));
+                    self.on_wheel -= 1;
+                } else {
+                    i += 1;
+                }
+            }
+            if slot.is_empty() {
+                self.occupied[idx / 64] &= !(1 << (idx % 64));
+            }
+            return;
+        }
+        if self.on_wheel > 0 {
+            // Slots `base ..= cycle`, cyclically; every slot once the span
+            // covers the whole wheel.
+            let span = (cycle - self.base).min(WHEEL_SLOTS as u64 - 1) as usize + 1;
+            let from = slot_of(self.base);
+            let wrapped = (from + span).saturating_sub(WHEEL_SLOTS);
+            self.take_slots(from, from + span - wrapped, out);
+            if wrapped > 0 {
+                self.take_slots(0, wrapped, out);
+            }
+        }
+        self.base = cycle.saturating_add(1);
+        // Overflow events now inside the window move onto the wheel (or out,
+        // when already due).
+        while let Some(&Reverse((at, key))) = self.far.peek() {
+            if at <= cycle {
+                out.push((at, key));
+            } else if at - self.base < WHEEL_SLOTS as u64 {
+                self.put(at, (at, key));
+            } else {
+                break;
+            }
+            self.far.pop();
+        }
+    }
+
+    /// The earliest queued cycle, if any.
+    pub fn next_due(&self) -> Option<u64> {
+        if self.on_wheel == 0 {
+            return self.far.peek().map(|&Reverse((at, _))| at);
+        }
+        let from = slot_of(self.base);
+        let idx = self.first_occupied_from(from);
+        if idx == from {
+            // The current slot may hold late pushes, due before `base`.
+            self.slots[idx].iter().map(|&(at, _)| at).min()
+        } else {
+            Some(self.base + ((idx + WHEEL_SLOTS - from) % WHEEL_SLOTS) as u64)
+        }
+    }
+
+    /// Files `event` in the slot of cycle `slot_cycle`.
+    fn put(&mut self, slot_cycle: u64, event: (u64, u64)) {
+        let idx = slot_of(slot_cycle);
+        self.slots[idx].push(event);
+        self.occupied[idx / 64] |= 1 << (idx % 64);
+        self.on_wheel += 1;
+    }
+
+    /// Empties the occupied slots with index in `lo..hi` into `out`.
+    fn take_slots(&mut self, lo: usize, hi: usize, out: &mut Vec<(u64, u64)>) {
+        if hi == lo + 1 {
+            // One cycle drained, the common case of a machine stepping.
+            if self.occupied[lo / 64] & (1 << (lo % 64)) != 0 {
+                self.occupied[lo / 64] &= !(1 << (lo % 64));
+                let slot = &mut self.slots[lo];
+                self.on_wheel -= slot.len();
+                out.append(slot);
+            }
+            return;
+        }
+        for w in lo / 64..hi.div_ceil(64) {
+            let (a, b) = (lo.max(w * 64) - w * 64, hi.min(w * 64 + 64) - w * 64);
+            let range = if b - a == 64 {
+                !0
+            } else {
+                ((1u64 << (b - a)) - 1) << a
+            };
+            let mut bits = self.occupied[w] & range;
+            self.occupied[w] &= !bits;
+            while bits != 0 {
+                let slot = &mut self.slots[w * 64 + bits.trailing_zeros() as usize];
+                self.on_wheel -= slot.len();
+                out.append(slot);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// The first occupied slot at or after `from`, cyclically (the wheel
+    /// must not be empty).
+    fn first_occupied_from(&self, from: usize) -> usize {
+        let words = self.occupied.len();
+        let (w0, b0) = (from / 64, from % 64);
+        let ahead = self.occupied[w0] & (!0u64 << b0);
+        if ahead != 0 {
+            return w0 * 64 + ahead.trailing_zeros() as usize;
+        }
+        for i in 1..=words {
+            let w = (w0 + i) % words;
+            let bits = if i == words {
+                self.occupied[w] & ((1u64 << b0) - 1)
+            } else {
+                self.occupied[w]
+            };
+            if bits != 0 {
+                return w * 64 + bits.trailing_zeros() as usize;
+            }
+        }
+        unreachable!("first_occupied_from on an empty wheel")
+    }
+}
+
+/// The wheel slot of cycle `at`.
+fn slot_of(at: u64) -> usize {
+    at as usize & (WHEEL_SLOTS - 1)
+}
+
 /// Wakeup network plus per-port issue lanes: the issue stage visits only
 /// entries whose source operands have all arrived, oldest first, and stops
 /// looking at a lane as soon as its head provably cannot issue this cycle.
 ///
-/// Entries whose operands are scheduled but not yet available — a woken
-/// consumer's `ready_cycle` is its producer's issue cycle *plus the execution
-/// latency*, which for a memory-miss producer lies hundreds of cycles in the
-/// future — are parked in a time-indexed hold queue, so the per-cycle issue
-/// scan never revisits instructions that provably cannot issue yet.
+/// Consumers wake when an operand *arrives*, not when its producer issues.
+/// A dispatched entry whose source is still being produced parks on that
+/// physical register's waiter list. When the producer issues
+/// ([`Self::on_issue`]) and the register has waiters, one arrival event
+/// `(ready_cycle + wakeup_extra, reg)` goes into a [`Calendar`]; a consumer
+/// dispatched after its producer issued but before the value arrives parks
+/// the same way, and the register's first such waiter pushes the event. The
+/// start of each scan ([`Self::begin_scan`]) drains the due arrivals, counts
+/// them off the waiters, and moves every fully woken consumer into its lane.
+/// An entry whose operands all arrive by the next scan skips the waiter lists
+/// and enters its lane at dispatch. So the per-cycle scan never revisits an
+/// instruction whose operands are still in flight — a memory-miss producer's
+/// consumers stay parked for hundreds of cycles at no per-cycle cost.
+///
+/// An arrival event outlives a squashed producer. If its register has been
+/// reallocated since, the register file no longer says the value arrives at
+/// the event's cycle, and the event is dropped unseen; squashed waiters are
+/// skipped lazily (their sequence numbers are no longer in flight).
 ///
 /// Released entries wait in one of six lanes — loads, stores, integer
 /// ALU/control, integer multiply/divide, FP add, FP multiply/divide — each
@@ -354,27 +581,26 @@ fn lane_of(op: OpClass) -> usize {
 pub struct IssueScheduler {
     /// Per-physical-register list of waiting consumer sequence numbers.
     /// Squashed consumers are left in place and skipped lazily on wake (their
-    /// sequence numbers are never reused, so a stale entry can only miss).
+    /// sequence numbers are no longer in flight, so a stale entry can only
+    /// miss).
     waiters: Vec<Vec<u64>>,
-    /// Released entries (`pending_srcs == 0`, `ready_cycle` reached), one
-    /// list per lane, each sorted ascending by sequence number.
+    /// Operand arrivals of registers with waiters, as
+    /// `(ready_cycle + wakeup_extra, reg)`.
+    arrivals: Calendar,
+    /// Scratch buffer for the arrivals a scan drains.
+    due: Vec<(u64, u64)>,
+    /// Released entries (every operand arrived by the next scan), one list
+    /// per lane, each sorted ascending by sequence number.
     lanes: [Vec<u64>; LANES],
     /// Per lane, how many entries the current scan has issued (a prefix).
     issued: [usize; LANES],
     /// Bit `l` is set while lane `l` may still issue in the current scan.
     open: u8,
-    /// The back-end cycle of the current scan.
+    /// The back-end cycle of the latest scan.
     scan_cycle: u64,
-    /// Entries with `pending_srcs == 0` waiting for their operands to arrive,
-    /// as `(ready_cycle + wakeup_extra, seq)`. Squashed entries are skipped
-    /// lazily on release.
-    held: BinaryHeap<Reverse<(u64, u64)>>,
     /// Extra wake-up latency in cycles (1 with pipelined Wake-up/Select, else
-    /// 0), folded into the hold deadline.
+    /// 0), folded into every arrival.
     wakeup_extra: u64,
-    /// Wakeups deferred while a scan is in progress ([`Self::defer_wake`] /
-    /// [`Self::drain_wakes`]).
-    deferred: Vec<(PhysReg, u64)>,
 }
 
 impl IssueScheduler {
@@ -384,49 +610,74 @@ impl IssueScheduler {
     pub fn new(phys_regs: usize, wakeup_extra: u64) -> Self {
         IssueScheduler {
             waiters: vec![Vec::new(); phys_regs],
+            arrivals: Calendar::new(),
+            due: Vec::new(),
             lanes: Default::default(),
             issued: [0; LANES],
             open: 0,
             scan_cycle: 0,
-            held: BinaryHeap::new(),
             wakeup_extra,
-            deferred: Vec::new(),
         }
     }
 
-    /// Registers a freshly dispatched entry: counts outstanding producers,
-    /// records the ready cycle contributed by already-issued ones, and either
-    /// parks the entry on the wakeup lists or queues it in the hold queue (from
-    /// where [`Self::begin_scan`] releases it into its lane once its operands
-    /// arrive).
+    /// Registers a freshly dispatched entry: a source whose value arrives by
+    /// the next scan counts as available, any other parks the entry on its
+    /// register (pushing the register's arrival event if its producer has
+    /// issued and the entry is the first waiter). An entry with every source
+    /// available enters its lane at once.
     pub fn on_dispatch(&mut self, table: &mut InflightTable, seq: u64, prf: &PhysRegFile) {
+        let next_scan = self.scan_cycle.saturating_add(1);
         let entry = &mut table[seq];
         let mut pending = 0u8;
         let mut ready_cycle = 0u64;
         for &src in &entry.rename.srcs {
             let at = prf.ready_at(src);
-            if at == u64::MAX {
-                pending += 1;
-                self.waiters[src as usize].push(seq);
-            } else {
+            let arrival = at.saturating_add(self.wakeup_extra);
+            if arrival <= next_scan {
                 ready_cycle = ready_cycle.max(at);
+                continue;
             }
+            pending += 1;
+            let waiters = &mut self.waiters[src as usize];
+            if at != u64::MAX && waiters.is_empty() {
+                self.arrivals.push(arrival, u64::from(src));
+            }
+            waiters.push(seq);
         }
         entry.pending_srcs = pending;
         entry.ready_cycle = ready_cycle;
         if pending == 0 {
-            self.held.push(Reverse((
-                ready_cycle.saturating_add(self.wakeup_extra),
-                seq,
-            )));
+            self.release(table, seq);
         }
     }
 
-    /// Starts the issue scan of back-end cycle `cycle`: releases every held
-    /// entry whose operands have arrived into its lane and opens every
-    /// non-empty lane.
-    pub fn begin_scan(&mut self, table: &InflightTable, cycle: u64) {
-        self.release_due(table, cycle);
+    /// Records that the producer of `dst` issued and its value arrives at
+    /// back-end cycle `ready_cycle`: schedules the register's arrival event
+    /// if consumers wait on it.
+    pub fn on_issue(&mut self, dst: PhysReg, ready_cycle: u64) {
+        if !self.waiters[dst as usize].is_empty() {
+            self.arrivals.push(
+                ready_cycle.saturating_add(self.wakeup_extra),
+                u64::from(dst),
+            );
+        }
+    }
+
+    /// Starts the issue scan of back-end cycle `cycle`: applies every operand
+    /// arrival due by then (dropping events of reallocated registers, which
+    /// `prf` no longer schedules at the event's cycle), moves fully woken
+    /// consumers into their lanes and opens every non-empty lane.
+    pub fn begin_scan(&mut self, table: &mut InflightTable, prf: &PhysRegFile, cycle: u64) {
+        let mut due = std::mem::take(&mut self.due);
+        self.arrivals.drain_due(cycle, &mut due);
+        for &(at, reg) in &due {
+            let reg = reg as PhysReg;
+            if prf.ready_at(reg).saturating_add(self.wakeup_extra) == at {
+                self.wake(table, reg, at - self.wakeup_extra);
+            }
+        }
+        due.clear();
+        self.due = due;
         self.scan_cycle = cycle;
         self.open = 0;
         for (l, lane) in self.lanes.iter().enumerate() {
@@ -480,23 +731,22 @@ impl IssueScheduler {
         }
     }
 
-    /// Ends the current scan: drops every issued entry from its lane and
-    /// applies the wakeups deferred during the scan.
-    pub fn end_scan(&mut self, table: &mut InflightTable) {
+    /// Ends the current scan: drops every issued entry from its lane.
+    pub fn end_scan(&mut self) {
         for (lane, issued) in self.lanes.iter_mut().zip(&mut self.issued) {
             lane.drain(..*issued);
             *issued = 0;
         }
         self.open = 0;
-        self.drain_wakes(table);
     }
 
     /// The earliest `visible_at_ps` among the lane heads that can issue once
     /// visible, or `None` if no released entry can. Outside a scan every lane
-    /// entry's operands have already arrived, and within a lane visibility
+    /// entry's operands arrive by the next scan, and within a lane visibility
     /// never decreases, so only the heads matter. A load head behind an older
     /// unresolved store is skipped with its whole lane: that store wakes the
-    /// machine through its own events (it is dispatched, woken or completing).
+    /// machine through its own events (it is dispatched, waiting on an
+    /// arrival or completing).
     pub fn earliest_visible_ps(&self, table: &InflightTable, stores: &StoreIndex) -> Option<u64> {
         self.lanes
             .iter()
@@ -508,74 +758,17 @@ impl IssueScheduler {
             .min()
     }
 
-    /// Moves every held entry whose operand-arrival cycle has been reached into
-    /// its lane. Stale hold entries (squashed or re-dispatched instructions)
-    /// are validated against the live table and dropped.
-    fn release_due(&mut self, table: &InflightTable, cycle: u64) {
-        while let Some(&Reverse((due, seq))) = self.held.peek() {
-            if due > cycle {
-                break;
-            }
-            self.held.pop();
-            let Some(entry) = table.get(seq) else {
-                continue;
-            };
-            // A re-dispatched instruction (trace-replay hand-back) gets fresh
-            // hold entries; only the one matching its current schedule counts.
-            if entry.state != EntryState::Waiting
-                || !entry.in_iw
-                || entry.pending_srcs != 0
-                || entry.ready_cycle.saturating_add(self.wakeup_extra) != due
-            {
-                continue;
-            }
-            let lane = &mut self.lanes[lane_of(entry.d.stat.op())];
-            // Duplicate hold entries can survive a squash + re-dispatch race
-            // with a coinciding deadline; inserting once keeps the lane a set.
-            if let Err(pos) = lane.binary_search(&seq) {
-                lane.insert(pos, seq);
-                debug_assert!(
-                    lane_is_visibility_ordered(lane, pos, table),
-                    "visible_at decreases within an issue lane at seq {seq}"
-                );
-            }
-        }
-    }
-
-    /// The earliest hold-queue deadline, if any (entries may be stale; the
+    /// The earliest queued operand arrival, if any (events may be stale; the
     /// value is a conservative lower bound for event scheduling).
     pub fn next_due(&self) -> Option<u64> {
-        self.held.peek().map(|&Reverse((due, _))| due)
+        self.arrivals.next_due()
     }
 
-    /// Records a wakeup of `reg`'s consumers to be applied by
-    /// [`Self::drain_wakes`] once the current issue scan ends. Woken consumers
-    /// could not issue in the same cycle anyway (the value arrives at
-    /// `ready_cycle`, which is in the future), and deferring keeps the lanes
-    /// stable while the pipeline scans them.
-    pub fn defer_wake(&mut self, reg: PhysReg, ready_cycle: u64) {
-        self.deferred.push((reg, ready_cycle));
-    }
-
-    /// Applies every deferred wakeup. [`Self::end_scan`] calls it; a kernel
-    /// that issues outside a scan (trace replay) calls it directly.
-    pub fn drain_wakes(&mut self, table: &mut InflightTable) {
-        let mut i = 0;
-        while i < self.deferred.len() {
-            let (reg, ready_cycle) = self.deferred[i];
-            self.wake(table, reg, ready_cycle);
-            i += 1;
-        }
-        self.deferred.clear();
-    }
-
-    /// Wakes the consumers of `reg`: called when its producer issues and the
-    /// scoreboard learns the cycle the value arrives. Fully woken consumers go
-    /// to the hold queue keyed by the cycle their last operand arrives.
+    /// Applies the arrival of `reg`'s value (produced at `ready_cycle`) to its
+    /// waiters; fully woken consumers enter their lanes.
     fn wake(&mut self, table: &mut InflightTable, reg: PhysReg, ready_cycle: u64) {
         // The list is drained even when some consumers are stale (squashed):
-        // a producer issues exactly once per allocation of `reg`, so everything
-        // parked here is either woken now or dead.
+        // everything parked on the register is either woken now or dead.
         let mut waiters = std::mem::take(&mut self.waiters[reg as usize]);
         for seq in waiters.drain(..) {
             let Some(entry) = table.get_mut(seq) else {
@@ -585,18 +778,35 @@ impl IssueScheduler {
             entry.pending_srcs -= 1;
             entry.ready_cycle = entry.ready_cycle.max(ready_cycle);
             if entry.pending_srcs == 0 {
-                self.held.push(Reverse((
-                    entry.ready_cycle.saturating_add(self.wakeup_extra),
-                    seq,
-                )));
+                self.release(table, seq);
             }
         }
         // Hand the (empty) buffer back so its capacity is reused.
         self.waiters[reg as usize] = waiters;
     }
 
+    /// Inserts `seq` into its lane, keeping the lane sorted and duplicate-free.
+    fn release(&mut self, table: &InflightTable, seq: u64) {
+        let lane = &mut self.lanes[lane_of(table[seq].d.stat.op())];
+        let pos = if lane.last().is_none_or(|&last| last < seq) {
+            // Appending, the common case: entries mostly wake in program
+            // order.
+            Err(lane.len())
+        } else {
+            lane.binary_search(&seq)
+        };
+        if let Err(pos) = pos {
+            lane.insert(pos, seq);
+            debug_assert!(
+                lane_is_visibility_ordered(lane, pos, table),
+                "visible_at decreases within an issue lane at seq {seq}"
+            );
+        }
+    }
+
     /// Drops every released entry younger than `branch_seq` from every lane
-    /// (mispredict recovery). Stale wakeup registrations are skipped lazily.
+    /// (mispredict recovery). Stale wakeup registrations and arrival events
+    /// are skipped lazily.
     pub fn squash_after(&mut self, branch_seq: u64) {
         debug_assert_eq!(self.issued, [0; LANES], "squash inside an issue scan");
         for lane in &mut self.lanes {
@@ -612,53 +822,6 @@ impl IssueScheduler {
 fn lane_is_visibility_ordered(lane: &[u64], pos: usize, table: &InflightTable) -> bool {
     let v = |i: usize| table[lane[i]].visible_at_ps;
     (pos == 0 || v(pos - 1) <= v(pos)) && (pos + 1 == lane.len() || v(pos) <= v(pos + 1))
-}
-
-/// Time-indexed queue of executing instructions, replacing the per-cycle scan
-/// of the whole executing set with a heap pop of the entries actually due.
-///
-/// Long-latency instructions (memory misses run for hundreds of back-end
-/// cycles) sit in the queue untouched until their completion cycle; the
-/// per-cycle cost is a single peek. Squashed instructions leave stale entries
-/// that the driver must validate against the live table on pop (entry present,
-/// still `Issued`, and `complete_at` matching the popped deadline).
-#[derive(Debug, Clone, Default)]
-pub struct CompletionQueue {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-}
-
-impl CompletionQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        CompletionQueue::default()
-    }
-
-    /// Schedules `seq` to complete at back-end cycle `at`.
-    pub fn push(&mut self, at: u64, seq: u64) {
-        self.heap.push(Reverse((at, seq)));
-    }
-
-    /// Pops one entry due at or before `cycle`, as `(complete_at, seq)`.
-    pub fn pop_due(&mut self, cycle: u64) -> Option<(u64, u64)> {
-        match self.heap.peek() {
-            Some(&Reverse((at, _))) if at <= cycle => {
-                let Reverse(pair) = self.heap.pop().expect("peeked entry exists");
-                Some(pair)
-            }
-            _ => None,
-        }
-    }
-
-    /// The earliest scheduled completion cycle, if any (entries may be stale;
-    /// the value is a conservative lower bound for event scheduling).
-    pub fn next_due(&self) -> Option<u64> {
-        self.heap.peek().map(|&Reverse((at, _))| at)
-    }
-
-    /// Whether no completion is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 /// Index over the stores resident in the LSQ, replacing per-load walks of the
@@ -868,13 +1031,14 @@ mod tests {
     fn scan(
         sched: &mut IssueScheduler,
         t: &mut InflightTable,
+        prf: &PhysRegFile,
         fus: &mut FunctionalUnits,
         stores: &mut StoreIndex,
         cycle: u64,
         now: u64,
     ) -> Vec<u64> {
         fus.begin_cycle();
-        sched.begin_scan(t, cycle);
+        sched.begin_scan(t, prf, cycle);
         let mut issued = Vec::new();
         while let Some(seq) = sched.next_issue(t, fus, stores, now) {
             let op = t[seq].d.stat.op();
@@ -886,7 +1050,7 @@ mod tests {
             }
             issued.push(seq);
         }
-        sched.end_scan(t);
+        sched.end_scan();
         issued
     }
 
@@ -909,29 +1073,29 @@ mod tests {
             t.insert(e);
             sched.on_dispatch(&mut t, seq, &prf);
         }
-        sched.begin_scan(&t, 100);
+        sched.begin_scan(&mut t, &prf, 10);
         assert!(
             released(&sched).is_empty(),
             "all parked on the pending producer"
         );
-        sched.end_scan(&mut t);
+        sched.end_scan();
         prf.mark_ready(3, 17);
-        sched.defer_wake(3, 17);
-        sched.drain_wakes(&mut t);
-        // The woken consumers wait in the hold queue until their operand
-        // arrives at cycle 17; scanning earlier surfaces nothing.
+        sched.on_issue(3, 17);
+        // The consumers stay parked until their operand arrives at cycle 17;
+        // scanning earlier surfaces nothing.
         assert_eq!(sched.next_due(), Some(17));
-        assert!(scan(&mut sched, &mut t, &mut fus, &mut stores, 16, 0).is_empty());
-        assert_eq!(t[5].ready_cycle, 17);
+        assert!(scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 16, 0).is_empty());
+        assert_eq!(t[5].pending_srcs, 1);
         // Two integer ALUs: the two oldest issue, the youngest stays at the
         // head of its lane for the next cycle.
         assert_eq!(
-            scan(&mut sched, &mut t, &mut fus, &mut stores, 17, 0),
+            scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 17, 0),
             vec![5, 6]
         );
+        assert_eq!(t[7].ready_cycle, 17);
         assert_eq!(released(&sched), vec![7]);
         assert_eq!(
-            scan(&mut sched, &mut t, &mut fus, &mut stores, 18, 0),
+            scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 18, 0),
             vec![7]
         );
         assert!(released(&sched).is_empty());
@@ -950,7 +1114,7 @@ mod tests {
         dispatch_ready(&mut t, &mut sched, &prf, 5, StaticInst::load(r1, r2), 0);
         assert!(stores.blocks_load(5));
         assert_eq!(
-            scan(&mut sched, &mut t, &mut fus, &mut stores, 1, 0),
+            scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 1, 0),
             vec![4, 5],
             "the store resolves before the load head is looked at"
         );
@@ -977,7 +1141,7 @@ mod tests {
             0,
         );
         assert_eq!(
-            scan(&mut sched, &mut t, &mut fus, &mut stores, 1, 0),
+            scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 1, 0),
             vec![5]
         );
         assert_eq!(released(&sched), vec![3, 4]);
@@ -985,7 +1149,7 @@ mod tests {
         stores.on_store_issue(2, 0);
         assert_eq!(sched.earliest_visible_ps(&t, &stores), Some(0));
         assert_eq!(
-            scan(&mut sched, &mut t, &mut fus, &mut stores, 2, 0),
+            scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 2, 0),
             vec![3, 4]
         );
     }
@@ -1022,12 +1186,12 @@ mod tests {
             0,
         );
         assert_eq!(
-            scan(&mut sched, &mut t, &mut fus, &mut stores, 1, 0),
+            scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 1, 0),
             vec![10, 12, 14]
         );
         assert_eq!(released(&sched), vec![11, 13]);
         assert_eq!(
-            scan(&mut sched, &mut t, &mut fus, &mut stores, 2, 0),
+            scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 2, 0),
             vec![11]
         );
     }
@@ -1052,21 +1216,15 @@ mod tests {
             400,
         );
         dispatch_ready(&mut t, &mut sched, &prf, 22, fadd, 600);
-        assert_eq!(
-            sched.earliest_visible_ps(&t, &stores),
-            None,
-            "nothing released yet"
-        );
-        sched.begin_scan(&t, 1);
-        sched.end_scan(&mut t);
+        // Operands arrive by the next scan, so dispatch releases all three.
         assert_eq!(sched.earliest_visible_ps(&t, &stores), Some(400));
         assert_eq!(
-            scan(&mut sched, &mut t, &mut fus, &mut stores, 1, 450),
+            scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 1, 450),
             vec![21]
         );
         assert_eq!(sched.earliest_visible_ps(&t, &stores), Some(500));
         assert_eq!(
-            scan(&mut sched, &mut t, &mut fus, &mut stores, 2, 600),
+            scan(&mut sched, &mut t, &prf, &mut fus, &mut stores, 2, 600),
             vec![20, 22]
         );
     }
@@ -1089,8 +1247,8 @@ mod tests {
         for (i, &stat) in kinds.iter().chain(&kinds).enumerate() {
             dispatch_ready(&mut t, &mut sched, &prf, i as u64, stat, 0);
         }
-        sched.begin_scan(&t, 1);
-        sched.end_scan(&mut t);
+        sched.begin_scan(&mut t, &prf, 1);
+        sched.end_scan();
         assert!(sched.lanes.iter().all(|lane| lane.len() == 2));
         sched.squash_after(5);
         assert!(sched.lanes.iter().all(|lane| lane.len() == 1));
@@ -1121,7 +1279,7 @@ mod tests {
     }
 
     #[test]
-    fn a_duplicate_hold_queue_release_lands_once() {
+    fn a_duplicate_dispatch_lands_in_its_lane_once() {
         let mut t = InflightTable::with_capacity(16);
         let prf = PhysRegFile::new(8);
         let mut sched = IssueScheduler::new(8, 0);
@@ -1134,11 +1292,10 @@ mod tests {
             StaticInst::alu(r1, r2, None),
             0,
         );
-        // A re-dispatch with the same schedule queues a second, identical
-        // hold entry.
+        // A re-dispatch with the same schedule releases the entry again.
         sched.on_dispatch(&mut t, 9, &prf);
-        sched.begin_scan(&t, 3);
-        sched.end_scan(&mut t);
+        sched.begin_scan(&mut t, &prf, 3);
+        sched.end_scan();
         assert_eq!(released(&sched), vec![9]);
         assert_eq!(sched.next_due(), None);
     }
@@ -1156,57 +1313,164 @@ mod tests {
         t.insert(e);
         sched.on_dispatch(&mut t, 4, &prf);
         prf.mark_ready(2, 10);
-        sched.defer_wake(2, 10);
-        sched.drain_wakes(&mut t);
-        sched.begin_scan(&t, 10);
+        sched.on_issue(2, 10);
+        sched.begin_scan(&mut t, &prf, 10);
         assert!(
             released(&sched).is_empty(),
             "pipelined wakeup adds one cycle"
         );
-        sched.end_scan(&mut t);
-        sched.begin_scan(&t, 11);
+        sched.end_scan();
+        sched.begin_scan(&mut t, &prf, 11);
         assert_eq!(released(&sched), vec![4]);
     }
 
     #[test]
     fn scheduler_skips_squashed_waiters() {
         let mut t = InflightTable::with_capacity(16);
-        let prf_pending = {
-            let mut p = PhysRegFile::new(4);
-            p.mark_pending(1);
-            p
-        };
+        let mut prf = PhysRegFile::new(4);
+        prf.mark_pending(1);
         let mut sched = IssueScheduler::new(4, 0);
         let mut e = entry(8);
         e.rename.srcs = [1].into_iter().collect();
         t.insert(e);
-        sched.on_dispatch(&mut t, 8, &prf_pending);
+        sched.on_dispatch(&mut t, 8, &prf);
         // Released entries younger than the branch disappear; the parked
-        // waiter is squashed from the table and must be skipped on wake and
-        // on release.
+        // waiter is squashed from the table and must be skipped when its
+        // operand arrives.
         sched.squash_after(7);
         t.remove(8);
-        sched.defer_wake(1, 9);
-        sched.drain_wakes(&mut t);
-        sched.begin_scan(&t, 100);
+        prf.mark_ready(1, 9);
+        sched.on_issue(1, 9);
+        sched.begin_scan(&mut t, &prf, 100);
         assert!(released(&sched).is_empty());
+        assert_eq!(sched.next_due(), None);
+    }
+
+    #[test]
+    fn a_consumer_of_an_issued_producer_parks_until_the_value_arrives() {
+        let mut t = InflightTable::with_capacity(16);
+        let mut prf = PhysRegFile::new(8);
+        let mut sched = IssueScheduler::new(8, 0);
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        sched.begin_scan(&mut t, &prf, 5);
+        sched.end_scan();
+        // Register 3 arrives at cycle 6 (by the next scan), register 4 at 40.
+        prf.mark_ready(3, 6);
+        prf.mark_ready(4, 40);
+        sched.on_issue(4, 40);
+        assert_eq!(sched.next_due(), None, "no waiters, no arrival event");
+        for (seq, src) in [(10u64, 3), (11, 4), (12, 4)] {
+            let mut e = entry(seq);
+            e.d.stat = StaticInst::alu(r1, r2, None);
+            e.rename.srcs = [src].into_iter().collect();
+            e.state = EntryState::Waiting;
+            e.in_iw = true;
+            t.insert(e);
+            sched.on_dispatch(&mut t, seq, &prf);
+        }
+        assert_eq!(released(&sched), vec![10]);
+        // Only the first waiter on register 4 queued its arrival.
+        assert_eq!(sched.next_due(), Some(40));
+        sched.begin_scan(&mut t, &prf, 39);
+        sched.end_scan();
+        assert_eq!(released(&sched), vec![10]);
+        sched.begin_scan(&mut t, &prf, 40);
+        sched.end_scan();
+        assert_eq!(released(&sched), vec![10, 11, 12]);
+        assert_eq!(sched.next_due(), None);
+    }
+
+    #[test]
+    fn an_arrival_of_a_reallocated_register_is_dropped() {
+        let mut t = InflightTable::with_capacity(16);
+        let mut prf = PhysRegFile::new(8);
+        let mut sched = IssueScheduler::new(8, 0);
+        prf.mark_pending(2);
+        fn consumer(
+            t: &mut InflightTable,
+            sched: &mut IssueScheduler,
+            prf: &PhysRegFile,
+            seq: u64,
+        ) {
+            let mut e = entry(seq);
+            e.rename.srcs = [2].into_iter().collect();
+            e.state = EntryState::Waiting;
+            e.in_iw = true;
+            t.insert(e);
+            sched.on_dispatch(t, seq, prf);
+        }
+        consumer(&mut t, &mut sched, &prf, 5);
+        // The producer issues (value at 30), then it and its consumer are
+        // squashed and register 2 goes to a new, not yet issued producer
+        // with a new consumer.
+        prf.mark_ready(2, 30);
+        sched.on_issue(2, 30);
+        sched.squash_after(4);
+        t.remove(5);
+        prf.mark_pending(2);
+        consumer(&mut t, &mut sched, &prf, 6);
+        sched.begin_scan(&mut t, &prf, 30);
+        sched.end_scan();
+        assert!(
+            released(&sched).is_empty(),
+            "the stale arrival woke a waiter"
+        );
+        assert_eq!(t[6].pending_srcs, 1);
+        // The new producer's own arrival wakes the consumer.
+        prf.mark_ready(2, 35);
+        sched.on_issue(2, 35);
+        sched.begin_scan(&mut t, &prf, 35);
+        assert_eq!(released(&sched), vec![6]);
     }
 
     #[test]
     fn completion_queue_pops_in_deadline_order() {
-        let mut q = CompletionQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.pop_due(1000), None);
+        let mut q = Calendar::new();
+        let mut due = Vec::new();
+        assert_eq!(q.next_due(), None);
+        q.drain_due(0, &mut due);
+        assert!(due.is_empty());
         q.push(30, 7);
         q.push(10, 9);
         q.push(10, 3);
         assert_eq!(q.next_due(), Some(10));
-        assert_eq!(q.pop_due(9), None, "nothing due before cycle 10");
-        assert_eq!(q.pop_due(10), Some((10, 3)));
-        assert_eq!(q.pop_due(10), Some((10, 9)));
-        assert_eq!(q.pop_due(10), None);
-        assert_eq!(q.pop_due(u64::MAX), Some((30, 7)));
-        assert!(q.is_empty());
+        q.drain_due(9, &mut due);
+        assert!(due.is_empty(), "nothing due before cycle 10");
+        q.drain_due(10, &mut due);
+        due.sort_unstable();
+        assert_eq!(due, vec![(10, 3), (10, 9)]);
+        due.clear();
+        q.drain_due(10, &mut due);
+        assert!(due.is_empty());
+        q.drain_due(u64::MAX, &mut due);
+        assert_eq!(due, vec![(30, 7)]);
+        assert_eq!(q.next_due(), None);
+    }
+
+    #[test]
+    fn calendar_late_and_far_events_keep_their_cycle() {
+        let mut q = Calendar::new();
+        let mut due = Vec::new();
+        q.drain_due(100, &mut due);
+        // A late push is due at once, a far one moves onto the wheel as the
+        // window reaches it.
+        q.push(40, 1);
+        q.push(101 + 600, 2);
+        q.push(150, 3);
+        assert_eq!(q.next_due(), Some(40));
+        q.drain_due(99, &mut due);
+        assert_eq!(due, vec![(40, 1)]);
+        due.clear();
+        assert_eq!(q.next_due(), Some(150));
+        q.drain_due(500, &mut due);
+        assert_eq!(due, vec![(150, 3)]);
+        due.clear();
+        assert_eq!(q.next_due(), Some(701));
+        q.drain_due(700, &mut due);
+        assert!(due.is_empty());
+        q.drain_due(701, &mut due);
+        assert_eq!(due, vec![(701, 2)]);
+        assert_eq!(q.next_due(), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`GsharePredictor`] — gshare + BTB + return-address stack.
 //! * [`Renamer`] / [`PhysRegFile`] — R10000-style renaming and the ready scoreboard.
 //! * [`FunctionalUnits`] — per-kind issue bandwidth (Table 2 mix).
-//! * [`InflightTable`] / [`IssueScheduler`] / [`StoreIndex`] — the slab-indexed,
+//! * [`InflightTable`] / [`Calendar`] / [`IssueScheduler`] / [`StoreIndex`] — the slab-indexed,
 //!   allocation-free in-flight bookkeeping both simulator kernels run their
 //!   per-cycle hot loop on (see `ARCHITECTURE.md`).
 //! * [`BaselineConfig`] — all structural and clocking knobs, including the Figure 2
@@ -43,7 +43,7 @@ pub use cache::{AccessOutcome, Cache, HierarchyStats, MemoryHierarchy};
 pub use config::{BaselineConfig, BpredConfig, CacheConfig, FuConfig, MultiDomainConfig};
 pub use fu::FunctionalUnits;
 pub use inflight::{
-    CompletionQueue, EntryState, InflightEntry, InflightTable, IssueScheduler, StoreIndex,
+    Calendar, EntryState, InflightEntry, InflightTable, IssueScheduler, StoreIndex,
 };
 pub use pipeline::BaselineSim;
 pub use regs::{PhysReg, PhysRegFile, RenameOutcome, Renamer, SrcList};

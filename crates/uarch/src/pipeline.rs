@@ -5,7 +5,7 @@ use crate::cache::{AccessOutcome, MemoryHierarchy};
 use crate::config::{BaselineConfig, MultiDomainConfig};
 use crate::fu::FunctionalUnits;
 use crate::inflight::{
-    CompletionQueue, EntryState, InflightEntry, InflightTable, IssueScheduler, StoreIndex,
+    Calendar, EntryState, InflightEntry, InflightTable, IssueScheduler, StoreIndex,
 };
 use crate::regs::{PhysRegFile, Renamer};
 use crate::stats::{SimBudget, SimResult};
@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 /// cannot issue this cycle for a reason every younger entry of the lane shares
 /// (a full port, a head not yet visible across the dual-clock window, or a
 /// load head behind an older unresolved store); executing instructions wait
-/// in a [`CompletionQueue`] keyed by completion cycle; load/store ordering
+/// in a [`Calendar`] keyed by completion cycle; load/store ordering
 /// checks go through the [`StoreIndex`] instead of walking the LSQ; and
 /// provably idle stretches (memory stalls) are fast-forwarded in bulk — all
 /// bit-identical to single-stepped execution.
@@ -72,8 +72,8 @@ pub struct BaselineSim<I: Iterator<Item = DynInst>> {
     iw_len: usize,
     lsq: VecDeque<u64>,
     /// Executing instructions keyed by completion cycle; stale (squashed)
-    /// entries are validated out on pop.
-    completions: CompletionQueue,
+    /// entries are validated out when drained.
+    completions: Calendar,
     sched: IssueScheduler,
     stores: StoreIndex,
 
@@ -151,7 +151,7 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
             rob: VecDeque::new(),
             iw_len: 0,
             lsq: VecDeque::new(),
-            completions: CompletionQueue::new(),
+            completions: Calendar::new(),
             sched: IssueScheduler::new(
                 cfg.phys_regs as usize,
                 if cfg.pipelined_wakeup { 1 } else { 0 },
@@ -600,20 +600,20 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
 
     fn complete(&mut self, now: u64) {
         let cycle = self.be_cycles;
-        // Drain the due prefix of the completion queue; the per-cycle cost when
-        // nothing finishes (the common case during a memory stall) is one peek.
+        // Drain the due completions; the per-cycle cost when nothing finishes
+        // (the common case during a memory stall) is one bitmap test.
         self.finished_scratch.clear();
-        while let Some((at, seq)) = self.completions.pop_due(cycle) {
-            self.finished_scratch.push((seq, at));
-        }
+        self.completions
+            .drain_due(cycle, &mut self.finished_scratch);
         if self.finished_scratch.is_empty() {
             return;
         }
         self.tick_activity = true;
         // Process in program order, as the original executing-list scan did.
-        self.finished_scratch.sort_unstable();
+        self.finished_scratch
+            .sort_unstable_by_key(|&(at, seq)| (seq, at));
         for i in 0..self.finished_scratch.len() {
-            let (seq, at) = self.finished_scratch[i];
+            let (at, seq) = self.finished_scratch[i];
             // An earlier completion in this very cycle may have squashed this
             // entry during mispredict recovery, and a squashed + re-issued
             // instruction leaves stale queue entries whose deadline no longer
@@ -721,7 +721,7 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
     fn issue(&mut self, now: u64) {
         let cycle = self.be_cycles;
         let mut issued_count = 0;
-        self.sched.begin_scan(&self.inflight, cycle);
+        self.sched.begin_scan(&mut self.inflight, &self.prf, cycle);
 
         // Issue released entries (operands arrived) in program order; the
         // scan skips lanes whose head cannot issue this cycle.
@@ -747,7 +747,7 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
                 e.in_iw = false;
                 if let Some(dst) = e.rename.dst {
                     self.prf.mark_ready(dst, wakeup_ready);
-                    self.sched.defer_wake(dst, wakeup_ready);
+                    self.sched.on_issue(dst, wakeup_ready);
                 }
             }
             self.completions.push(complete_at, seq);
@@ -766,7 +766,7 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
         if issued_count > 0 {
             self.tick_activity = true;
         }
-        self.sched.end_scan(&mut self.inflight);
+        self.sched.end_scan();
     }
 
     fn fu_energy_unit(&self, op: OpClass) -> Unit {

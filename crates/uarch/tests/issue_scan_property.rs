@@ -1,16 +1,23 @@
 //! Differential property test of the lane-indexed issue scan of
 //! [`IssueScheduler`] against the whole-list scan it replaced.
 //!
-//! The reference model keeps no lanes: every cycle it walks all released
-//! entries (operands arrived, still in the Issue Window) in program order and
-//! skips each one that is not yet visible, whose port is full, or that is a
-//! load behind an older unresolved store — the original kernels' issue loop.
-//! Randomized dispatch, wakeup, store-resolve, retire and squash sequences
-//! under random functional-unit mixes, issue widths and wake-up latencies
-//! (seeded by `flywheel-rng`, so failures reproduce exactly) must make the
-//! lane scan issue exactly the same sequence every cycle, and the lane-head
-//! bound [`IssueScheduler::earliest_visible_ps`] must equal the minimum over
-//! the whole list.
+//! The reference model keeps no lanes and no wakeup state: every cycle it
+//! walks, in program order, every entry still in the Issue Window whose
+//! sources all arrive by this cycle *according to the register file*
+//! (`ready_at + wakeup_extra <= cycle`), and skips each one that is not yet
+//! visible, whose port is full, or that is a load behind an older unresolved
+//! store — the original kernels' issue loop. Randomized dispatch, issue,
+//! store-resolve, retire and squash sequences under random functional-unit
+//! mixes, issue widths and wake-up latencies (seeded by `flywheel-rng`, so
+//! failures reproduce exactly) must make the lane scan issue exactly the same
+//! sequence every cycle, and the lane-head bound
+//! [`IssueScheduler::earliest_visible_ps`] must equal the minimum over the
+//! whole list.
+//!
+//! In the small-pool campaigns registers are recycled through a free list,
+//! so a squashed producer's register is reallocated — and read by new
+//! consumers — while the arrival event of its squashed value is still
+//! queued: the scheduler must recognise the event as stale.
 
 use flywheel_isa::{ArchReg, DynInst, MemAccess, OpClass, Pc, StaticInst};
 use flywheel_rng::SimRng;
@@ -19,9 +26,9 @@ use flywheel_uarch::{
     PhysRegFile, RenameOutcome, StoreIndex,
 };
 
-/// Physical registers per campaign: each destination gets a fresh one, so a
-/// register is never reallocated while consumers wait on it.
-const PHYS_REGS: usize = 16_384;
+/// Physical registers of the large-pool campaigns: each destination gets a
+/// fresh one, so a register is never reallocated.
+const LARGE_POOL: usize = 16_384;
 
 /// Back-end clock period in picoseconds.
 const PERIOD_PS: u64 = 1_000;
@@ -51,18 +58,91 @@ fn stat_of(op: OpClass) -> StaticInst {
 }
 
 /// The released entries the whole-list scan walks: dispatched, still in the
-/// Issue Window, every operand arrived by `cycle`.
-fn released(table: &InflightTable, live: &[u64], wakeup_extra: u64, cycle: u64) -> Vec<u64> {
+/// Issue Window, every source's value arrived by `cycle` per the register
+/// file.
+fn released(
+    table: &InflightTable,
+    prf: &PhysRegFile,
+    live: &[u64],
+    wakeup_extra: u64,
+    cycle: u64,
+) -> Vec<u64> {
     live.iter()
         .copied()
         .filter(|&seq| {
             let e = &table[seq];
             e.state == EntryState::Waiting
                 && e.in_iw
-                && e.pending_srcs == 0
-                && e.ready_cycle + wakeup_extra <= cycle
+                && e.rename
+                    .srcs
+                    .as_slice()
+                    .iter()
+                    .all(|&src| prf.ready_at(src).saturating_add(wakeup_extra) <= cycle)
         })
         .collect()
+}
+
+/// Physical register allocation for a campaign. Register 0 is always ready
+/// and never allocated. Fresh registers go first; once they run out, freed
+/// ones are recycled. A register returns to the free list only once its
+/// producer has left the machine, no live entry reads it and it is no longer
+/// offered as a source — as a renamer frees a mapping only after its last
+/// reader.
+struct Regs {
+    free: Vec<u16>,
+    next_fresh: usize,
+    pool: usize,
+    /// Live entries reading each register, plus one while it is offered as
+    /// a source.
+    readers: Vec<u32>,
+    /// Whether each register's producer has retired or been squashed.
+    producer_gone: Vec<bool>,
+}
+
+impl Regs {
+    fn new(pool: usize) -> Self {
+        Regs {
+            free: Vec::new(),
+            next_fresh: 1,
+            pool,
+            readers: vec![0; pool],
+            producer_gone: vec![false; pool],
+        }
+    }
+
+    fn alloc(&mut self) -> Option<u16> {
+        let reg = if self.next_fresh < self.pool {
+            self.next_fresh += 1;
+            (self.next_fresh - 1) as u16
+        } else {
+            self.free.pop()?
+        };
+        self.producer_gone[reg as usize] = false;
+        Some(reg)
+    }
+
+    fn unpin(&mut self, reg: u16) {
+        self.readers[reg as usize] -= 1;
+        let r = reg as usize;
+        if self.producer_gone[r] && self.readers[r] == 0 {
+            self.producer_gone[r] = false;
+            self.free.push(reg);
+        }
+    }
+
+    /// An entry left the machine (retired or squashed).
+    fn release_entry(&mut self, e: &InflightEntry) {
+        for &src in &e.rename.srcs {
+            if src != 0 {
+                self.unpin(src);
+            }
+        }
+        if let Some(dst) = e.rename.dst {
+            // The producer's own pin keeps the register until this point.
+            self.producer_gone[dst as usize] = true;
+            self.unpin(dst);
+        }
+    }
 }
 
 /// The original issue loop: walk `ready` in program order, skipping entries
@@ -98,8 +178,10 @@ fn reference_scan(
     issued
 }
 
-/// One campaign of `cycles` back-end cycles.
-fn campaign(seed: u64, cycles: u64) {
+/// One campaign of `cycles` back-end cycles over `pool` physical registers.
+/// Returns how many arrival events of reallocated registers were queued when
+/// they came due.
+fn campaign(seed: u64, cycles: u64, pool: usize) -> usize {
     let mut rng = SimRng::seed_from_u64(seed);
     let fu_cfg = FuConfig {
         int_alu: rng.range_inclusive_u64(1, 4) as u32,
@@ -114,16 +196,21 @@ fn campaign(seed: u64, cycles: u64) {
     let window = rng.range_inclusive_u64(8, 96) as usize;
 
     let mut table = InflightTable::with_capacity(window);
-    let mut prf = PhysRegFile::new(PHYS_REGS as u32);
-    let mut sched = IssueScheduler::new(PHYS_REGS, wakeup_extra);
+    let mut prf = PhysRegFile::new(pool as u32);
+    let mut sched = IssueScheduler::new(pool, wakeup_extra);
+    let mut regs = Regs::new(pool);
+    // Arrival cycles of squashed producers' values, by register, to count
+    // the stale events the campaign provokes.
+    let mut squashed_arrivals: Vec<(u16, u64)> = Vec::new();
+    let mut stale_due = 0usize;
     let mut fus = FunctionalUnits::new(fu_cfg);
     let mut stores = StoreIndex::new();
     // Live entries in program order (the ROB).
     let mut live: Vec<u64> = Vec::new();
     // Destinations of recent instructions, the pool sources are drawn from.
     let mut recent_dsts: Vec<u16> = Vec::new();
+    let recent_cap = (pool / 4).clamp(2, 12);
     let mut next_seq = 100u64;
-    let mut next_reg: u16 = 1; // register 0 is always ready
     let mut last_visible_ps = 0u64;
     let mut issued_total = 0usize;
 
@@ -133,7 +220,7 @@ fn campaign(seed: u64, cycles: u64) {
         // Dispatch a burst in program order. Visibility never decreases in
         // dispatch order (the property the visibility rule relies on).
         for _ in 0..rng.range_inclusive_u64(0, 4) {
-            if live.len() >= window || next_reg as usize + 1 >= PHYS_REGS {
+            if live.len() >= window {
                 break;
             }
             let op = OPS[rng.range_usize(0, OPS.len())];
@@ -148,11 +235,22 @@ fn campaign(seed: u64, cycles: u64) {
                 };
                 srcs.push(reg);
             }
-            let dst = (!matches!(op, OpClass::Store | OpClass::Ctrl | OpClass::Nop)).then(|| {
-                let reg = next_reg;
-                next_reg += 1;
-                reg
-            });
+            let dst = if matches!(op, OpClass::Store | OpClass::Ctrl | OpClass::Nop) {
+                None
+            } else {
+                match regs.alloc() {
+                    Some(reg) => Some(reg),
+                    None => break,
+                }
+            };
+            for &src in &srcs {
+                if src != 0 {
+                    regs.readers[src as usize] += 1;
+                }
+            }
+            if let Some(reg) = dst {
+                regs.readers[reg as usize] += 1;
+            }
             let d = DynInst {
                 seq,
                 pc: Pc::new(0x4000 + seq * 4),
@@ -178,8 +276,9 @@ fn campaign(seed: u64, cycles: u64) {
             if let Some(reg) = dst {
                 prf.mark_pending(reg);
                 recent_dsts.push(reg);
-                if recent_dsts.len() > 12 {
-                    recent_dsts.remove(0);
+                regs.readers[reg as usize] += 1;
+                if recent_dsts.len() > recent_cap {
+                    regs.unpin(recent_dsts.remove(0));
                 }
             }
             sched.on_dispatch(&mut table, seq, &prf);
@@ -194,13 +293,21 @@ fn campaign(seed: u64, cycles: u64) {
             let branch = live[rng.range_usize(0, live.len())];
             while live.last().is_some_and(|&s| s > branch) {
                 let seq = live.pop().expect("non-empty");
-                table.remove(seq).expect("squashed entry is live");
+                let e = table.remove(seq).expect("squashed entry is live");
+                if let Some(dst) = e.rename.dst {
+                    if e.state == EntryState::Issued {
+                        squashed_arrivals.push((dst, prf.ready_at(dst) + wakeup_extra));
+                    }
+                }
+                regs.release_entry(&e);
             }
             sched.squash_after(branch);
             stores.squash_after(branch);
             // Squashed producers never write their registers; later sources
             // come from producers dispatched after the recovery.
-            recent_dsts.clear();
+            for reg in recent_dsts.drain(..) {
+                regs.unpin(reg);
+            }
         }
 
         // Retire issued entries from the head.
@@ -211,6 +318,7 @@ fn campaign(seed: u64, cycles: u64) {
             }
             live.remove(0);
             let e = table.remove(head).expect("retiring entry is live");
+            regs.release_entry(&e);
             if e.d.stat.op() == OpClass::Store {
                 stores.on_store_retire(head);
             }
@@ -218,9 +326,16 @@ fn campaign(seed: u64, cycles: u64) {
 
         // The cycle's issue scan, against the whole-list reference.
         fus.begin_cycle();
-        let ready = released(&table, &live, wakeup_extra, cycle);
+        squashed_arrivals.retain(|&(reg, at)| {
+            let due = at <= cycle;
+            if due && prf.ready_at(reg).saturating_add(wakeup_extra) != at {
+                stale_due += 1;
+            }
+            !due
+        });
+        let ready = released(&table, &prf, &live, wakeup_extra, cycle);
         let expected = reference_scan(&table, &ready, fus.clone(), stores.clone(), width, now);
-        sched.begin_scan(&table, cycle);
+        sched.begin_scan(&mut table, &prf, cycle);
         let mut issued = Vec::new();
         while issued.len() < width {
             let Some(seq) = sched.next_issue(&table, &fus, &stores, now) else {
@@ -241,14 +356,14 @@ fn campaign(seed: u64, cycles: u64) {
             };
             if let Some(dst) = e.rename.dst {
                 prf.mark_ready(dst, cycle + latency);
-                sched.defer_wake(dst, cycle + latency);
+                sched.on_issue(dst, cycle + latency);
             }
             if op == OpClass::Store {
                 stores.on_store_issue(seq, seq);
             }
             issued.push(seq);
         }
-        sched.end_scan(&mut table);
+        sched.end_scan();
         assert_eq!(
             issued, expected,
             "seed {seed} cycle {cycle}: lane scan diverged from the whole-list scan"
@@ -256,7 +371,7 @@ fn campaign(seed: u64, cycles: u64) {
         issued_total += issued.len();
 
         // The event bound over lane heads equals the minimum over the list.
-        let whole_list_min = released(&table, &live, wakeup_extra, cycle)
+        let whole_list_min = released(&table, &prf, &live, wakeup_extra, cycle)
             .into_iter()
             .filter(|&seq| !(table[seq].d.stat.op() == OpClass::Load && stores.blocks_load(seq)))
             .map(|seq| table[seq].visible_at_ps)
@@ -271,18 +386,30 @@ fn campaign(seed: u64, cycles: u64) {
         issued_total as u64 > cycles / 4,
         "seed {seed}: the campaign barely issued ({issued_total} in {cycles} cycles)"
     );
+    stale_due
 }
 
 #[test]
 fn lane_scan_issues_what_the_whole_list_scan_issues() {
     for seed in 1..=24 {
-        campaign(seed, 3_000);
+        campaign(seed, 3_000, LARGE_POOL);
     }
 }
 
 #[test]
 fn long_campaigns_stay_equivalent() {
     for seed in [101, 102, 103] {
-        campaign(seed, 20_000);
+        campaign(seed, 20_000, LARGE_POOL);
     }
+}
+
+#[test]
+fn small_register_pools_reallocate_under_queued_arrivals() {
+    let mut stale = 0;
+    for seed in 201..=224 {
+        let pool = 24 + (seed as usize % 5) * 4;
+        stale += campaign(seed, 3_000, pool);
+    }
+    // The campaigns must actually exercise the stale-arrival check.
+    assert!(stale >= 20, "only {stale} stale arrival events came due");
 }

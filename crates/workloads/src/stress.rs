@@ -7,8 +7,9 @@
 //!
 //! * [`ptr_chase`] — serialized pointer chasing over a working set far beyond
 //!   L2. Nearly every load misses and depends on the previous load, so the
-//!   Issue Window drains into the scheduler's hold queue and the idle
-//!   fast-forward path dominates (its bounds must never fire early).
+//!   Issue Window's consumers park on their registers until an arrival event
+//!   on the scheduler's calendar, and the idle fast-forward path dominates
+//!   (its bounds must never fire late).
 //! * [`branch_storm`] — short blocks terminated by data-dependent branches that
 //!   gshare cannot learn. Exercises mispredict recovery: `InflightTable` tail
 //!   squashes, `IssueScheduler::squash_after`, redirect synchronization between
